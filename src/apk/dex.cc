@@ -1,5 +1,6 @@
 #include "apk/dex.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/byte_io.h"
@@ -9,6 +10,12 @@ namespace apichecker::apk {
 namespace {
 constexpr uint32_t kDexMagic = 0x4c584544;  // "DEXL" little-endian.
 constexpr uint16_t kDexVersion = 1;
+constexpr uint64_t kMaxTableEntries = 10'000'000;
+// A table count must also fit in the bytes still unread, so a forged count is
+// rejected before reserve() allocates for entries that are not there. A
+// string or an index takes at least one ULEB byte; a behaviour record at
+// least 8 (ULEB method, u32 rate, u8 activity, u8 flags, ULEB intent).
+constexpr uint64_t kMinBehaviorBytes = 8;
 }  // namespace
 
 uint32_t DexFile::InternString(std::string_view s) {
@@ -77,7 +84,8 @@ util::Result<DexFile> ParseDex(std::span<const uint8_t> bytes) {
   dex.behavior_seed = *seed;
 
   auto string_count = reader.ReadUleb128();
-  if (!string_count.ok() || *string_count > 10'000'000) {
+  if (!string_count.ok() ||
+      *string_count > std::min<uint64_t>(kMaxTableEntries, reader.remaining())) {
     return util::Err("bad dex string pool size");
   }
   dex.strings.reserve(static_cast<size_t>(*string_count));
@@ -92,7 +100,7 @@ util::Result<DexFile> ParseDex(std::span<const uint8_t> bytes) {
   auto read_index_list = [&](std::vector<uint32_t>& out, const char* what)
       -> util::Result<bool> {
     auto count = reader.ReadUleb128();
-    if (!count.ok() || *count > 10'000'000) {
+    if (!count.ok() || *count > std::min<uint64_t>(kMaxTableEntries, reader.remaining())) {
       return util::Err(std::string("bad dex table size: ") + what);
     }
     out.reserve(static_cast<size_t>(*count));
@@ -117,7 +125,9 @@ util::Result<DexFile> ParseDex(std::span<const uint8_t> bytes) {
   }
 
   auto behavior_count = reader.ReadUleb128();
-  if (!behavior_count.ok() || *behavior_count > 10'000'000) {
+  if (!behavior_count.ok() ||
+      *behavior_count >
+          std::min<uint64_t>(kMaxTableEntries, reader.remaining() / kMinBehaviorBytes)) {
     return util::Err("bad dex behavior table size");
   }
   dex.behaviors.reserve(static_cast<size_t>(*behavior_count));
@@ -137,8 +147,13 @@ util::Result<DexFile> ParseDex(std::span<const uint8_t> bytes) {
     if (*intent != 0 && *intent - 1 >= dex.strings.size()) {
       return util::Err("dex behavior references unknown intent string");
     }
+    const float rate = std::bit_cast<float>(*ipk);
+    // Written so that NaN fails too.
+    if (!(rate >= 0.0f && rate <= DexBehavior::kMaxInvocationsPerKevent)) {
+      return util::Err("dex behavior invocation rate out of range");
+    }
     b.method_idx = static_cast<uint32_t>(*method_idx);
-    b.invocations_per_kevent = std::bit_cast<float>(*ipk);
+    b.invocations_per_kevent = rate;
     b.activity = *activity;
     b.flags = *flags;
     b.intent_string_idx =

@@ -28,6 +28,10 @@ namespace apichecker::apk {
 struct DexBehavior {
   static constexpr uint8_t kFlagGuarded = 0x01;      // Wrapped in an emulator check.
   static constexpr uint8_t kFlagSensorGated = 0x02;  // Requires live sensor input.
+  // Largest invocation rate ParseDex accepts. It keeps the engine's
+  // rate * events / 1000 (events a uint32_t) and CodeFingerprint's rate * 16
+  // casts to uint64_t in range, and sits over 100x above any synthetic rate.
+  static constexpr float kMaxInvocationsPerKevent = 1e9f;
 
   uint32_t method_idx = 0;             // Index into DexFile::method_name_idx.
   float invocations_per_kevent = 0.0f;
@@ -69,7 +73,9 @@ struct DexFile {
 
 std::vector<uint8_t> EncodeDex(const DexFile& dex);
 
-// Parses and structurally validates (all indices in range).
+// Parses and structurally validates: all indices in range, every table
+// count within what the remaining bytes can hold, and every invocation rate
+// finite, non-negative and at most DexBehavior::kMaxInvocationsPerKevent.
 util::Result<DexFile> ParseDex(std::span<const uint8_t> bytes);
 
 }  // namespace apichecker::apk

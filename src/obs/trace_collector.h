@@ -44,7 +44,6 @@ namespace apichecker::obs {
 // Pipeline stage names: shared between StageSpan.stage, Trace.breakdown keys,
 // and StageHistogramName().
 namespace stages {
-inline constexpr char kUpload[] = "upload";      // Network transfer into the gateway.
 inline constexpr char kSubmit[] = "submit";
 inline constexpr char kShard[] = "shard";        // Shard-queue wait.
 inline constexpr char kBatch[] = "batch";        // Linger + batch assembly.

@@ -67,7 +67,7 @@ struct ServiceConfig {
   // deterministically).
   bool start_paused = false;
   // Fraction of submissions stamped with a TraceContext at admission (0 = off,
-  // 1.0 = every submission — tests; 0.01 = the bench's production-like rate).
+  // 1.0 = every submission — tests; 0.01 = a production-like rate).
   // Implemented as deterministic 1-in-N on the submission id, so sampled
   // traffic is reproducible run to run.
   double trace_sample_rate = 0.0;

@@ -1,6 +1,8 @@
 // Unit tests for src/android: the API universe generator, catalogues,
 // permission maps, dependency closure, and SDK evolution.
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <unordered_set>
 
@@ -139,6 +141,51 @@ TEST(ApiUniverse, DeterministicForSameSeed) {
     EXPECT_EQ(a.api(id).name, b.api(id).name);
     EXPECT_EQ(a.api(id).popularity, b.api(id).popularity);
     EXPECT_EQ(a.api(id).implemented_via, b.api(id).implemented_via);
+  }
+}
+
+// FNV-1a over every ApiInfo field of every API, in id order. Floats enter by
+// bit pattern, so any change to a generated rate or popularity shows.
+uint64_t UniverseDigest(const ApiUniverse& universe) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((value >> (8 * byte)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  for (ApiId id = 0; id < universe.num_apis(); ++id) {
+    const ApiInfo& info = universe.api(id);
+    mix(info.name.size());
+    for (char c : info.name) {
+      mix(static_cast<uint8_t>(c));
+    }
+    mix(static_cast<uint64_t>(info.protection));
+    mix(static_cast<uint64_t>(static_cast<int64_t>(info.permission)));
+    mix(static_cast<uint64_t>(info.sensitive));
+    mix(info.intent_related);
+    mix(info.attacker_useful);
+    mix(info.common_op);
+    mix(info.sdk_level);
+    mix(std::bit_cast<uint32_t>(info.popularity));
+    mix(std::bit_cast<uint32_t>(info.invocations_per_kevent));
+    mix(static_cast<uint64_t>(static_cast<int64_t>(info.implemented_via)));
+  }
+  return h;
+}
+
+// The default 50K universe (and an SDK level on top of it, whose names carry
+// numeric suffixes) is pinned field for field: every seeded paper output
+// derives from it, so a generator change must leave it bit-identical.
+TEST(ApiUniverse, DefaultUniverseMatchesPinnedDigest) {
+  ApiUniverse universe = ApiUniverse::Generate(UniverseConfig{});
+  ASSERT_EQ(universe.num_apis(), 50'000u);
+  EXPECT_EQ(UniverseDigest(universe), 0x30e40dc86e5bc9b6ull);
+  universe.AddSdkLevel(28, 2'000, 77);
+  EXPECT_EQ(UniverseDigest(universe), 0xfcae941389931feaull);
+  for (ApiId id = 0; id < universe.num_apis(); ++id) {
+    const auto found = universe.FindByName(universe.api(id).name);
+    ASSERT_TRUE(found.has_value()) << universe.api(id).name;
+    EXPECT_EQ(*found, id);
   }
 }
 

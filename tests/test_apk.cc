@@ -1,12 +1,19 @@
 // Unit tests for src/apk: the ZIP container codec, manifest and dex codecs,
 // APK assembly/parsing, and tamper detection.
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "android/api_universe.h"
 #include "apk/apk.h"
 #include "apk/dex.h"
 #include "apk/manifest.h"
 #include "apk/zip.h"
+#include "emu/engine.h"
+#include "market/review_pipeline.h"
+#include "util/byte_io.h"
 #include "util/rng.h"
 
 namespace apichecker::apk {
@@ -277,6 +284,51 @@ TEST(Dex, RejectsBadMagic) {
   EXPECT_FALSE(ParseDex(Bytes("DEXBAD")).ok());
 }
 
+// Hand-encoded dex: a valid header, the given table counts in file order
+// (strings, methods, activities, behaviours), then `tail` zero bytes.
+std::vector<uint8_t> DexWithCounts(const std::vector<uint64_t>& counts, size_t tail) {
+  util::ByteWriter writer;
+  writer.PutU32(0x4c584544);  // "DEXL"
+  writer.PutU16(1);
+  writer.PutU16(0);  // Runtime flags, crash probability.
+  writer.PutU64(0);  // Behaviour seed.
+  for (uint64_t count : counts) {
+    writer.PutUleb128(count);
+  }
+  for (size_t i = 0; i < tail; ++i) {
+    writer.PutU8(0);
+  }
+  return writer.TakeBytes();
+}
+
+TEST(Dex, RejectsTableCountsBeyondTheBytesLeft) {
+  // 10M entries declared a few bytes before the end: each table is refused
+  // by its size check, before anything is reserved for it.
+  constexpr uint64_t kTenMillion = 10'000'000;
+  const struct {
+    std::vector<uint64_t> counts;
+    const char* error;
+  } cases[] = {
+      {{kTenMillion}, "bad dex string pool size"},
+      {{0, kTenMillion}, "bad dex table size: methods"},
+      {{0, 0, kTenMillion}, "bad dex table size: activities"},
+      {{0, 0, 0, kTenMillion}, "bad dex behavior table size"},
+  };
+  for (const auto& c : cases) {
+    auto parsed = ParseDex(DexWithCounts(c.counts, 64));
+    ASSERT_FALSE(parsed.ok()) << c.error;
+    EXPECT_EQ(parsed.error(), c.error);
+  }
+  // The bound is the bytes left: 64 empty strings fit in 64 bytes (plus the
+  // three empty tables after them), 68 do not fit in 67.
+  auto fits = ParseDex(DexWithCounts({64}, 64 + 3));
+  ASSERT_TRUE(fits.ok()) << fits.error();
+  EXPECT_EQ(fits->strings.size(), 64u);
+  auto overflows = ParseDex(DexWithCounts({68}, 67));
+  ASSERT_FALSE(overflows.ok());
+  EXPECT_EQ(overflows.error(), "bad dex string pool size");
+}
+
 TEST(Apk, RoundTripsWithNativeLib) {
   Manifest m;
   m.package_name = "com.x";
@@ -375,6 +427,26 @@ TEST(Apk, PadApkIsANoOpAtOrAboveTarget) {
   EXPECT_FALSE(PadApk(Bytes("not a zip"), 4096, 1).ok());
 }
 
+TEST(Apk, RejectsOutOfRangeInvocationRates) {
+  // Each rate is signed into a valid package, so only the dex range check
+  // stands between it and the engine's float->int casts.
+  Manifest m;
+  m.package_name = "com.x";
+  const float cap = DexBehavior::kMaxInvocationsPerKevent;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (float rate : {std::numeric_limits<float>::quiet_NaN(), inf, -inf, -1.0f, 3e38f,
+                     std::nextafter(cap, inf), 0.0f, cap}) {
+    DexFile dex = MakeDex();
+    dex.behaviors[1].invocations_per_kevent = rate;
+    auto apk = ParseApk(BuildApk(m, dex, false));
+    const bool in_range = rate == 0.0f || rate == cap;
+    ASSERT_EQ(apk.ok(), in_range) << "rate " << rate;
+    if (!in_range) {
+      EXPECT_EQ(apk.error(), "apk dex: dex behavior invocation rate out of range");
+    }
+  }
+}
+
 TEST(Apk, MissingEntriesRejected) {
   ZipWriter writer;
   writer.AddEntry("random.txt", Bytes("x"));
@@ -417,6 +489,73 @@ TEST_P(ApkMutationRobustness, ParserNeverCrashes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ApkMutationRobustness, ::testing::Values(1, 2, 3, 4, 5));
+
+// Wraps a manifest and a (possibly mutated) dex into a correctly signed
+// package: fresh ZIP CRCs and a recomputed content digest.
+std::vector<uint8_t> ResignApk(std::span<const uint8_t> manifest_bytes,
+                               std::span<const uint8_t> dex_bytes) {
+  std::vector<uint8_t> digest_input(manifest_bytes.begin(), manifest_bytes.end());
+  digest_input.insert(digest_input.end(), dex_bytes.begin(), dex_bytes.end());
+  ZipWriter writer;
+  writer.AddEntry(kManifestEntry, manifest_bytes);
+  writer.AddEntry(kDexEntry, dex_bytes);
+  writer.AddEntry(kSignatureEntry, Bytes(ContentDigest(digest_input)));
+  return writer.Finish();
+}
+
+// The same property past the checksums: each mutated dex is re-signed, so it
+// reaches ParseDex, and whatever parses is run through the engine and the
+// fingerprint. Half the mutations give a behaviour a hostile rate; a UBSan
+// build stops on any out-of-range cast.
+class ApkResignedMutationRobustness : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ApkResignedMutationRobustness, ParsedPackagesStayInRangeDownstream) {
+  static const android::ApiUniverse universe =
+      android::ApiUniverse::Generate({.num_apis = 2'000});
+  const emu::DynamicAnalysisEngine engine(universe, emu::EngineConfig{});
+  const emu::TrackedApiSet tracked = emu::TrackedApiSet::All(universe.num_apis());
+
+  Manifest m;
+  m.package_name = "com.fuzz.target";
+  const std::vector<uint8_t> manifest_bytes = EncodeManifest(m);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float hostile_rates[] = {inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+                                 3e38f, -1.0f, 2e9f};
+
+  util::Rng rng(GetParam());
+  size_t parsed = 0, rejected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    DexFile dex = MakeDex();
+    if (rng.Bernoulli(0.5)) {
+      dex.behaviors[rng.NextBounded(dex.behaviors.size())].invocations_per_kevent =
+          hostile_rates[rng.NextBounded(std::size(hostile_rates))];
+    }
+    std::vector<uint8_t> mutated = EncodeDex(dex);
+    const size_t flips = rng.NextBounded(4);
+    for (size_t f = 0; f < flips; ++f) {
+      mutated[rng.NextBounded(mutated.size())] ^= static_cast<uint8_t>(1u << rng.NextBounded(8));
+    }
+    const auto result = ParseApk(ResignApk(manifest_bytes, mutated));
+    if (!result.ok()) {
+      EXPECT_FALSE(result.error().empty());
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    for (const DexBehavior& b : result->dex.behaviors) {
+      EXPECT_TRUE(b.invocations_per_kevent >= 0.0f &&
+                  b.invocations_per_kevent <= DexBehavior::kMaxInvocationsPerKevent)
+          << "parsed rate " << b.invocations_per_kevent;
+    }
+    (void)engine.Run(*result, tracked);
+    (void)market::CodeFingerprint(result->dex);
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ApkResignedMutationRobustness,
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(Apk, ContentDigestIsStableAndSensitive) {
   const auto a = ContentDigest(Bytes("abc"));

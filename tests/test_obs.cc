@@ -1,7 +1,7 @@
 // Unit tests for src/obs: counters, gauges, lock-striped histograms and
 // their quantiles, span tracing, scoped timers, exporters, the JSON
 // dump round-trip, the request-scoped TraceCollector, label escaping,
-// and the trace/bench file writers.
+// and the trace file writer.
 
 #include <atomic>
 #include <chrono>
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/bench_report.h"
 #include "obs/export.h"
 #include "obs/labels.h"
 #include "obs/metrics.h"
@@ -648,22 +647,6 @@ TEST(TraceExport, WriteRefusesToOverwriteWithoutForce) {
   auto forced = WriteTraceFile(path, traces, /*force=*/true);
   EXPECT_TRUE(forced.ok()) << forced.error();
   std::remove(path.c_str());
-}
-
-TEST(BenchReport, JsonCarriesSchemaAndStages) {
-  BenchReport report;
-  report.bench = "serve_throughput";
-  report.git_rev = "abc123";
-  report.submissions = 100;
-  report.wall_s = 2.0;
-  report.throughput_per_sec = 50.0;
-  report.sample_rate = 0.01;
-  report.stages["farm"] = BenchStage{1.5, 9.0, 42};
-  const std::string json = BenchReportToJson(report);
-  EXPECT_NE(json.find("\"schema\": \"apichecker-bench-serve-v1\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"farm\": {\"p50_ms\": 1.5000"), std::string::npos);
-  EXPECT_NE(json.find("\"submissions\": 100"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include "android/api_universe.h"
 #include "apk/apk.h"
+#include "apk/dex.h"
 #include "synth/behavior_templates.h"
 #include "synth/corpus.h"
 
@@ -240,6 +241,23 @@ TEST(BuildApkBytes, ParsesBackIdentically) {
     }
     EXPECT_EQ(apk->dex.behaviors.size(), visible);
   }
+}
+
+// ParseDex's rate cap (DexBehavior::kMaxInvocationsPerKevent) must sit far
+// above anything the generator emits, or seeded corpora would stop parsing.
+TEST(BuildDex, InvocationRatesSitFarBelowTheParserCap) {
+  CorpusConfig config;
+  config.num_apps = 3'000;
+  config.seed = 7;
+  CorpusGenerator gen(TestUniverse(), config);
+  float max_rate = 0.0f;
+  for (const AppProfile& p : gen.GenerateAll()) {
+    for (const apk::DexBehavior& b : BuildDex(p, TestUniverse()).behaviors) {
+      max_rate = std::max(max_rate, b.invocations_per_kevent);
+    }
+  }
+  EXPECT_GT(max_rate, 0.0f);
+  EXPECT_LT(max_rate, apk::DexBehavior::kMaxInvocationsPerKevent / 100.0f);
 }
 
 TEST(CorpusGenerator, CloneUpdatesShareBehaviour) {

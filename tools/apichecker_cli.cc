@@ -47,7 +47,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
-#include "obs/bench_report.h"
 #include "obs/trace.h"
 #include "obs/trace_collector.h"
 #include "serve/service.h"
@@ -88,7 +87,6 @@ struct CommonFlags {
   std::string trace_out;
   double trace_sample = -1.0;  // < 0 = unset.
   bool force = false;
-  std::string bench_out;  // BENCH_*.json perf report; empty = no report.
   // Farm fabric: `serve --fabric N` spawns N `apichecker farm` worker
   // processes on unix sockets and dispatches batches over the wire;
   // --fabric-kill-one SIGKILLs one worker mid-trace to demonstrate the
@@ -247,10 +245,6 @@ CommonFlags ParseFlags(int argc, char** argv, int first) {
     } else if (std::strcmp(argv[i], "--spill-threshold-kb") == 0) {
       flags.spill_threshold_kb =
           std::strtoull(next_value("--spill-threshold-kb"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--bench-out") == 0) {
-      flags.bench_out = next_value("--bench-out");
-    } else if (std::strncmp(argv[i], "--bench-out=", 12) == 0) {
-      flags.bench_out = argv[i] + 12;
     } else if (std::strcmp(argv[i], "--connect") == 0) {
       flags.connect = next_value("--connect");
     } else if (std::strcmp(argv[i], "--uploads") == 0) {
@@ -838,7 +832,7 @@ int CmdServe(const CommonFlags& flags) {
       // verdicts in the store; swapping with the first half still in flight
       // leaves the v1/v2 split to scheduler timing — occasionally zero v1
       // records. The swap-vs-in-flight pinning race itself is covered by
-      // bench_serve_throughput and test_serve.
+      // test_serve and perfbench's market_open workload.
       for (auto& future : futures) {
         future.wait();
       }
@@ -1090,58 +1084,6 @@ int CmdServe(const CommonFlags& flags) {
                     slowest[i].status.c_str(), slowest[i].total_ms,
                     stages.c_str());
       }
-    }
-  }
-  if (!flags.bench_out.empty()) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    obs::BenchReport report;
-    report.bench = "serve_cli";
-    report.git_rev = obs::GitRevisionOrUnknown();
-    report.submissions = futures.size();
-    report.wall_s = elapsed_s;
-    report.throughput_per_sec =
-        elapsed_s > 0 ? static_cast<double>(futures.size()) / elapsed_s : 0.0;
-    report.sample_rate = config.trace_sample_rate;
-    report.traces_completed = collector.traces_completed();
-    report.peak_rss_mb = obs::PeakRssMb();
-    report.peak_blob_pool_mb =
-        static_cast<double>(ingest::ApkBlob::PoolPeakBytes()) / (1024.0 * 1024.0);
-    report.rt_tasks_total = static_cast<uint64_t>(
-        reg.counter(obs::names::kRtTasksTotal).value());
-    report.rt_tasks_per_sec =
-        elapsed_s > 0 ? static_cast<double>(report.rt_tasks_total) / elapsed_s
-                      : 0.0;
-    report.rt_steal_ratio =
-        report.rt_tasks_total > 0
-            ? reg.counter(obs::names::kRtStealsTotal).value() /
-                  static_cast<double>(report.rt_tasks_total)
-            : 0.0;
-    report.rt_timer_lag_p99_ms =
-        reg.histogram(obs::names::kRtTimerLagMs).Snapshot().Quantile(0.99);
-    report.rt_process_threads_peak = static_cast<uint64_t>(
-        reg.gauge(obs::names::kRtProcessThreadsPeak).value());
-    report.stages["rt_timer_lag"] =
-        obs::StageFromHistogram(reg, obs::names::kRtTimerLagMs);
-    report.stages["admission"] =
-        obs::StageFromHistogram(reg, obs::names::kServeAdmissionLatencyMs);
-    report.stages["e2e"] =
-        obs::StageFromHistogram(reg, obs::names::kServeE2eLatencyMs);
-    report.stages["traced_e2e"] =
-        obs::StageFromHistogram(reg, obs::names::kServeTracedE2eMs);
-    for (const char* stage :
-         {obs::stages::kSubmit, obs::stages::kShard, obs::stages::kBatch,
-          obs::stages::kFarm, obs::stages::kClassify, obs::stages::kStore,
-          obs::stages::kResolve}) {
-      report.stages[stage] =
-          obs::StageFromHistogram(reg, obs::StageHistogramName(stage));
-    }
-    auto written = obs::WriteBenchReport(flags.bench_out, report);
-    if (!written.ok()) {
-      std::fprintf(stderr, "bench report write failed: %s\n",
-                   written.error().c_str());
-      io_ok = false;
-    } else {
-      std::printf("serve: bench report written to %s\n", flags.bench_out.c_str());
     }
   }
   reap_fabric();

@@ -103,6 +103,11 @@ util::Result<ApiChecker> DeserializeChecker(const android::ApiUniverse& universe
   options.use_intents = *use_intents != 0;
   options.frequency_buckets = *buckets;
   const double threshold = std::bit_cast<double>(*threshold_bits);
+  // A NaN threshold compares false against every score (every verdict
+  // benign); outside [0, 1] it makes one verdict for every app.
+  if (!(threshold >= 0.0 && threshold <= 1.0)) {
+    return util::Err("model threshold outside [0, 1]");
+  }
 
   KeyApiSelection selection;
   for (auto* list : {&selection.set_c, &selection.set_p, &selection.set_s,

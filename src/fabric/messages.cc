@@ -1,6 +1,7 @@
 #include "fabric/messages.h"
 
 #include <bit>
+#include <cmath>
 
 #include "util/byte_io.h"
 
@@ -10,13 +11,17 @@ namespace {
 
 // Doubles cross the wire as their IEEE-754 bit pattern. Both ends of the
 // fabric are the same binary family (x86-64 Linux), so bit-exactness holds —
-// which the local/remote parity tests rely on.
+// which the local/remote parity tests rely on. No field carries a NaN or an
+// infinity, so the reader rejects them before they reach a histogram or a
+// float-to-integer cast.
 void PutF64(util::ByteWriter& out, double v) { out.PutU64(std::bit_cast<uint64_t>(v)); }
 
 util::Result<double> ReadF64(util::ByteReader& in) {
   auto bits = in.ReadU64();
   if (!bits.ok()) return util::Err(bits.error());
-  return std::bit_cast<double>(*bits);
+  const double value = std::bit_cast<double>(*bits);
+  if (!std::isfinite(value)) return util::Err("non-finite float field");
+  return value;
 }
 
 // Reads a u32 element count that is about to drive a decode loop. The count

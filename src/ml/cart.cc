@@ -176,6 +176,11 @@ util::Result<CartTree> CartTree::Deserialize(util::ByteReader& reader) {
   if (!count.ok()) {
     return util::Err(count.error());
   }
+  // Untrusted count: every node takes 16 bytes, so a count the bytes left
+  // cannot hold is rejected before it drives a reserve.
+  if (*count > reader.remaining() / 16) {
+    return util::Err("CART node count exceeds the blob");
+  }
   CartTree tree;
   tree.nodes_.reserve(*count);
   for (uint32_t i = 0; i < *count; ++i) {
@@ -191,6 +196,9 @@ util::Result<CartTree> CartTree::Deserialize(util::ByteReader& reader) {
     node.absent_child = *absent;
     node.present_child = *present;
     node.score = BitsFloat(*score);
+    if (!std::isfinite(node.score)) {
+      return util::Err("non-finite CART score");
+    }
     if (node.feature >= 0 && (node.absent_child >= *count || node.present_child >= *count ||
                               node.absent_child <= i || node.present_child <= i)) {
       return util::Err("malformed CART topology");

@@ -116,6 +116,12 @@ util::Result<RandomForest> RandomForest::Deserialize(std::span<const uint8_t> by
   if (!num_features.ok() || !num_trees.ok()) {
     return util::Err("truncated random forest header");
   }
+  // Counts are untrusted: bound each by what the bytes left could hold at the
+  // element's minimum encoded size before reserving for it (a tree is at
+  // least its 4-byte node count, an importance entry 8 bytes).
+  if (*num_trees > reader.remaining() / 4) {
+    return util::Err("random forest tree count exceeds the blob");
+  }
   RandomForest forest;
   forest.num_features_ = *num_features;
   forest.trees_.reserve(*num_trees);
@@ -130,13 +136,20 @@ util::Result<RandomForest> RandomForest::Deserialize(std::span<const uint8_t> by
   if (!importance_size.ok()) {
     return util::Err("truncated importance vector");
   }
+  if (*importance_size > reader.remaining() / 8) {
+    return util::Err("importance count exceeds the blob");
+  }
   forest.importance_.reserve(*importance_size);
   for (uint32_t i = 0; i < *importance_size; ++i) {
     auto v = reader.ReadU64();
     if (!v.ok()) {
       return util::Err("truncated importance entry");
     }
-    forest.importance_.push_back(std::bit_cast<double>(*v));
+    const double importance = std::bit_cast<double>(*v);
+    if (!std::isfinite(importance)) {
+      return util::Err("non-finite importance entry");
+    }
+    forest.importance_.push_back(importance);
   }
   return forest;
 }

@@ -3,18 +3,13 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ingest/apk_blob.h"
-#include "market/review_pipeline.h"
-#include "obs/metrics.h"
 #include "obs/names.h"
-#include "obs/trace.h"
-#include "obs/trace_collector.h"
 #include "util/logging.h"
 
 namespace apichecker::serve {
@@ -33,21 +28,12 @@ struct EmulationSlot {
 };
 
 // Everything the asynchronous pool completion needs to resolve the batch.
-// Owned by a shared_ptr captured in both pool callbacks (exactly one fires).
+// Owned by a shared_ptr captured in every pool callback.
 struct BatchState {
   std::vector<PendingSubmission> batch;
   std::vector<EmulationSlot> slots;
   std::shared_ptr<const ModelSnapshot> snapshot;
-  Clock::time_point assembled_at;
-  Clock::time_point dispatched_at;  // Pool handoff; valid once dispatched.
-};
-
-// Per-slot stage timing measured on the pool completion path, consumed by
-// resolve() to build the contiguous per-trace latency breakdown.
-struct StageTimes {
-  Clock::time_point farm_done;  // Reports ready == classify start.
-  double classify_ms = 0.0;
-  double store_ms = -1.0;       // < 0: no store append happened.
+  Timeline times;  // Batch-level stamps: assembly, then the pool hand-off.
 };
 
 }  // namespace
@@ -55,10 +41,20 @@ struct StageTimes {
 BatchScheduler::BatchScheduler(BatchSchedulerConfig config, rt::Runtime& runtime,
                                SubmissionShards& shards, DigestCache& cache,
                                ServingModel& model, FarmPool& pool,
-                               ServiceCounters& counters,
+                               ResolutionLedger& ledger,
                                store::VerdictStore* store)
     : config_(config), runtime_(runtime), shards_(shards), cache_(cache),
-      model_(model), pool_(pool), counters_(counters), store_(store) {
+      model_(model), pool_(pool), ledger_(ledger), store_(store),
+      batches_total_(obs::MetricsRegistry::Default().counter(
+          obs::names::kServeBatchesTotal)),
+      cache_misses_total_(obs::MetricsRegistry::Default().counter(
+          obs::names::kServeCacheMissesTotal)),
+      batch_size_(obs::MetricsRegistry::Default().histogram(
+          obs::names::kServeBatchSize)),
+      queue_wait_ms_(obs::MetricsRegistry::Default().histogram(
+          obs::names::kServeQueueWaitMs)),
+      queue_depth_(obs::MetricsRegistry::Default().gauge(
+          obs::names::kServeQueueDepth)) {
   if (config_.batch_size == 0) {
     config_.batch_size = 1;
   }
@@ -117,9 +113,9 @@ void BatchScheduler::SchedulePump() {
 
 void BatchScheduler::Pump() {
   for (;;) {
-    // Read the push counter BEFORE sweeping (same protocol as the shards'
-    // blocking pop): a push that lands mid-sweep changes the counter, so the
-    // drained check below re-sweeps instead of declaring victory early.
+    // Read the push counter BEFORE sweeping: a push that lands mid-sweep
+    // changes the counter, so the drained check below re-sweeps instead of
+    // declaring victory early.
     const uint64_t seen = shards_.total_pushes();
     while (batch_.size() < config_.batch_size) {
       auto popped = shards_.TryPopAny();
@@ -222,195 +218,49 @@ void BatchScheduler::Flush() {
 }
 
 void BatchScheduler::ExecuteBatch(std::vector<PendingSubmission> batch) {
-  obs::TraceSpan span("serve.batch");
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
-  metrics.counter(obs::names::kServeBatchesTotal).Increment();
-  metrics.histogram(obs::names::kServeBatchSize)
-      .Observe(static_cast<double>(batch.size()));
-  metrics.gauge(obs::names::kServeQueueDepth)
-      .Set(static_cast<double>(shards_.ApproxDepth()));
-  counters_.batches.fetch_add(1, std::memory_order_relaxed);
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  batches_total_.Increment();
+  batch_size_.Observe(static_cast<double>(batch.size()));
+  queue_depth_.Set(static_cast<double>(shards_.ApproxDepth()));
 
   auto state = std::make_shared<BatchState>();
   state->batch = std::move(batch);
   // One snapshot for the whole batch: a concurrent hot-swap becomes visible
   // at the next batch boundary, never inside one.
   state->snapshot = model_.Acquire();
-  state->assembled_at = Clock::now();
+  state->times.assembled_at = Clock::now();
+  state->times.batch_size = state->batch.size();
 
-  // Resolution is invoked from the scheduler thread (triage) and from pool
-  // worker threads (async completion); everything it touches is thread-safe.
-  // `st` carries the completion path's per-slot stage timing (null for triage
-  // and rejection paths); `dispatched` says the batch reached the pool, which
-  // decides how post-pop time is attributed (batch vs farm stage).
-  auto resolve = [this](const BatchState& s, PendingSubmission& pending,
-                        VettingResult result, const StageTimes* st,
-                        bool dispatched) {
-    const Clock::time_point resolve_entry = Clock::now();
-    obs::MetricsRegistry& m = obs::MetricsRegistry::Default();
-    result.queue_ms = MsSince(pending.admitted_at, s.assembled_at);
-    result.total_ms = MsSince(pending.admitted_at, resolve_entry);
-    const size_t cls = static_cast<size_t>(pending.priority);
-    m.histogram(obs::names::kServeE2eLatencyMs).Observe(result.total_ms);
-    m.histogram(ClassSeriesName(obs::names::kServeE2eLatencyMs, pending.priority))
-        .Observe(result.total_ms);
-    switch (result.status) {
-      case VetStatus::kOk:
-        counters_.completed.fetch_add(1, std::memory_order_relaxed);
-        counters_.completed_by_class[cls].fetch_add(1, std::memory_order_relaxed);
-        m.counter(obs::names::kServeCompletedTotal).Increment();
-        m.counter(ClassSeriesName(obs::names::kServeCompletedTotal,
-                                  pending.priority))
-            .Increment();
-        market::RecordReviewOutcome(result.malicious
-                                        ? market::ReviewOutcome::kRejectedByChecker
-                                        : market::ReviewOutcome::kPublished);
-        break;
-      case VetStatus::kDeadlineExpired:
-        counters_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-        counters_.expired_by_class[cls].fetch_add(1, std::memory_order_relaxed);
-        m.counter(obs::names::kServeDeadlineExpiredTotal).Increment();
-        m.counter(ClassSeriesName(obs::names::kServeDeadlineExpiredTotal,
-                                  pending.priority))
-            .Increment();
-        break;
-      case VetStatus::kParseError:
-        counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-        m.counter(obs::names::kServeParseErrorsTotal).Increment();
-        break;
-      case VetStatus::kRejectedUnhealthy:
-        counters_.rejected_unhealthy.fetch_add(1, std::memory_order_relaxed);
-        m.counter(obs::names::kServeFarmRejectedUnhealthyTotal).Increment();
-        break;
-      case VetStatus::kShedOverload:
-        // Shedding happens at admission (VettingService::Submit), which does
-        // its own accounting; a shed submission never reaches the scheduler.
-        break;
-      case VetStatus::kAbortedUpload:
-        // Aborted uploads resolve inside the gateway before Submit() is ever
-        // reached; one cannot flow through the scheduler.
-        break;
-    }
-
-    if (pending.trace.sampled()) {
-      // Build the contiguous latency partition admitted -> now over the stage
-      // timestamps this submission accumulated. Each entry feeds its stage
-      // histogram; the remainder is the resolve stage — so the stage sums
-      // reconstruct the traced end-to-end latency exactly.
-      obs::TraceCollector& collector = obs::TraceCollector::Default();
-      const Clock::time_point end = Clock::now();
-      const double total = MsSince(pending.admitted_at, end);
-      std::vector<obs::StageMs> breakdown;
-      auto push = [&breakdown](const char* stage, double ms) {
-        breakdown.push_back({stage, std::max(0.0, ms)});
-      };
-      push(obs::stages::kSubmit, MsSince(pending.admitted_at, pending.enqueued_at));
-      push(obs::stages::kShard, MsSince(pending.enqueued_at, pending.popped_at));
-      if (dispatched) {
-        push(obs::stages::kBatch, MsSince(pending.popped_at, s.dispatched_at));
-        if (st != nullptr) {
-          push(obs::stages::kFarm, MsSince(s.dispatched_at, st->farm_done));
-          push(obs::stages::kClassify, st->classify_ms);
-          if (st->store_ms >= 0.0) {
-            push(obs::stages::kStore, st->store_ms);
-          }
-        } else {
-          // Parse error, pool rejection, or in-batch follower: the whole
-          // pool residency is farm time (the attempt spans the pool recorded
-          // tell the detailed story, faults included).
-          push(obs::stages::kFarm, MsSince(s.dispatched_at, resolve_entry));
-        }
-      } else {
-        // Triage-resolved (deadline, cache hit): never dispatched.
-        push(obs::stages::kBatch, MsSince(pending.popped_at, resolve_entry));
-      }
-      double consumed = 0.0;
-      for (const obs::StageMs& entry : breakdown) {
-        consumed += entry.ms;
-      }
-      push(obs::stages::kResolve, total - consumed);
-
-      const double base_ms = collector.ToEpochMs(pending.admitted_at);
-      obs::StageSpan shard_span;
-      shard_span.stage = obs::stages::kShard;
-      shard_span.start_ms = collector.ToEpochMs(pending.enqueued_at);
-      shard_span.duration_ms = MsSince(pending.enqueued_at, pending.popped_at);
-      collector.Record(pending.trace.trace_id, shard_span);
-      if (!dispatched) {
-        obs::StageSpan batch_span;
-        batch_span.stage = obs::stages::kBatch;
-        batch_span.start_ms = collector.ToEpochMs(pending.popped_at);
-        batch_span.duration_ms = MsSince(pending.popped_at, resolve_entry);
-        batch_span.queue_depth = s.batch.size();
-        collector.Record(pending.trace.trace_id, batch_span);
-      }
-      if (st != nullptr) {
-        obs::StageSpan classify_span;
-        classify_span.stage = obs::stages::kClassify;
-        classify_span.start_ms = collector.ToEpochMs(st->farm_done);
-        classify_span.duration_ms = st->classify_ms;
-        collector.Record(pending.trace.trace_id, classify_span);
-        if (st->store_ms >= 0.0) {
-          obs::StageSpan store_span;
-          store_span.stage = obs::stages::kStore;
-          store_span.start_ms = classify_span.start_ms + st->classify_ms;
-          store_span.duration_ms = st->store_ms;
-          collector.Record(pending.trace.trace_id, store_span);
-        }
-      }
-      obs::StageSpan resolve_span;
-      resolve_span.stage = obs::stages::kResolve;
-      resolve_span.start_ms = base_ms + consumed;
-      resolve_span.duration_ms = std::max(0.0, total - consumed);
-      collector.Record(pending.trace.trace_id, resolve_span);
-
-      obs::ObserveStageBreakdown(breakdown, total);
-      collector.Complete(pending.trace.trace_id, VetStatusName(result.status),
-                         result.from_cache, std::move(breakdown), total);
-    }
-
-    DeliverResult(pending, std::move(result));
-  };
-
-  // Triage on the scheduler thread: expired deadlines and digest-cache hits
+  // Triage on the scheduler strand: expired deadlines and digest-cache hits
   // resolve without touching an emulator; byte-identical members of the same
   // batch emulate once. Parsing is NOT done here — the pool's first worker to
   // pick the batch up runs it (off the scheduler, off the submitter), so the
   // scheduler goes straight back to assembling the next batch.
-  obs::Histogram& queue_wait = metrics.histogram(obs::names::kServeQueueWaitMs);
   std::vector<ingest::ApkBlob> blobs;  // One per slot leader; refcount bumps only.
   std::unordered_map<std::string, size_t> digest_to_slot;
 
   for (size_t i = 0; i < state->batch.size(); ++i) {
     PendingSubmission& pending = state->batch[i];
-    queue_wait.Observe(MsSince(pending.admitted_at, state->assembled_at));
+    queue_wait_ms_.Observe(MsSince(pending.admitted_at, state->times.assembled_at));
 
-    if (state->assembled_at >= pending.deadline) {
-      VettingResult result;
+    VettingResult result;
+    result.model_version = state->snapshot->version;
+    if (state->times.assembled_at >= pending.deadline) {
       result.status = VetStatus::kDeadlineExpired;
-      result.model_version = state->snapshot->version;
-      resolve(*state, pending, std::move(result), nullptr, false);
+      ledger_.Resolve(pending, std::move(result), state->times);
       continue;
     }
 
     if (auto cached = cache_.Get(pending.digest(), state->snapshot->version)) {
-      VettingResult result;
       result.malicious = cached->malicious;
       result.score = cached->score;
       result.from_cache = true;
-      result.model_version = state->snapshot->version;
-      counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      metrics.counter(obs::names::kServeCacheHitsTotal).Increment();
-      if (cached->warm) {
-        // The verdict came from the persistent store's recovery replay, not
-        // from any emulation this process ran — the warm start paid off.
-        counters_.warm_start_hits.fetch_add(1, std::memory_order_relaxed);
-        metrics.counter(obs::names::kStoreWarmStartHitsTotal).Increment();
-      }
-      resolve(*state, pending, std::move(result), nullptr, false);
+      Timeline times = state->times;
+      times.warm = cached->warm;
+      ledger_.Resolve(pending, std::move(result), times);
       continue;
     }
-    metrics.counter(obs::names::kServeCacheMissesTotal).Increment();
+    cache_misses_total_.Increment();
 
     if (auto it = digest_to_slot.find(pending.digest()); it != digest_to_slot.end()) {
       state->slots[it->second].followers.push_back(i);
@@ -428,43 +278,55 @@ void BatchScheduler::ExecuteBatch(std::vector<PendingSubmission> batch) {
   // Hand the blobs to the pool; the parse stage and classification both
   // happen on the pool worker that picks the batch up. Affinity-hash the
   // first leader's digest so byte-similar traffic prefers the same farm when
-  // loads tie.
+  // loads tie. Slot index s == blob index s in the vector handed to the pool.
   const uint64_t affinity =
       std::hash<std::string>{}(state->batch[state->slots.front().leader].digest());
+  std::vector<obs::TraceContext> slot_traces;
+  slot_traces.reserve(state->slots.size());
+  for (const EmulationSlot& slot : state->slots) {
+    slot_traces.push_back(state->batch[slot.leader].trace);
+  }
+  // Stamped before the hand-off: a worker may resolve the batch before
+  // Submit() even returns.
+  state->times.dispatched_at = Clock::now();
 
-  // Slot index s == blob index s in the vector handed to the pool.
-  auto on_parse_error = [this, state, resolve](size_t slot_index,
-                                               const std::string& error) {
-    (void)this;
+  // Every pool outcome resolves whole slots: the leader with its own stage
+  // times, each in-batch follower with a copy of the leader's result. A
+  // follower's verdict skipped emulation, so an ok one is a cache hit.
+  auto resolve_slot = [this, state](size_t slot_index, const VettingResult& result,
+                                    const Timeline& leader_times) {
     const EmulationSlot& slot = state->slots[slot_index];
+    ledger_.Resolve(state->batch[slot.leader], result, leader_times);
+    for (size_t follower : slot.followers) {
+      VettingResult copy = result;
+      copy.from_cache = result.status == VetStatus::kOk;
+      ledger_.Resolve(state->batch[follower], std::move(copy), state->times);
+    }
+  };
+
+  auto on_parse_error = [state, resolve_slot](size_t slot_index,
+                                              const std::string& error) {
     VettingResult result;
     result.status = VetStatus::kParseError;
     result.error = error;
     result.model_version = state->snapshot->version;
-    resolve(*state, state->batch[slot.leader], VettingResult(result), nullptr,
-            true);
-    for (size_t follower_idx : slot.followers) {
-      resolve(*state, state->batch[follower_idx], VettingResult(result), nullptr,
-              true);
-    }
+    resolve_slot(slot_index, result, state->times);
   };
 
-  auto on_complete = [this, state, resolve](const emu::BatchResult& farm_result,
-                                            const std::vector<size_t>& emulated) {
+  auto on_complete = [this, state, resolve_slot](const emu::BatchResult& farm_result,
+                                                 const std::vector<size_t>& emulated) {
     for (size_t j = 0; j < emulated.size(); ++j) {
-      const EmulationSlot& slot = state->slots[emulated[j]];
-      PendingSubmission& leader = state->batch[slot.leader];
-      StageTimes times;
+      const std::string& digest = state->batch[state->slots[emulated[j]].leader].digest();
+      Timeline times = state->times;
       times.farm_done = Clock::now();
       const core::ApiChecker::Verdict verdict =
           state->snapshot->checker.Classify(farm_result.reports[j]);
       times.classify_ms = MsSince(times.farm_done, Clock::now());
-      cache_.Put(leader.digest(),
-                 {state->snapshot->version, verdict.malicious, verdict.score});
+      cache_.Put(digest, {state->snapshot->version, verdict.malicious, verdict.score});
       if (store_ != nullptr) {
         const Clock::time_point store_start = Clock::now();
         store::VerdictRecord record;
-        record.digest = leader.digest();
+        record.digest = digest;
         record.model_version = state->snapshot->version;
         record.malicious = verdict.malicious;
         record.score = verdict.score;
@@ -487,73 +349,20 @@ void BatchScheduler::ExecuteBatch(std::vector<PendingSubmission> batch) {
       result.malicious = verdict.malicious;
       result.score = verdict.score;
       result.model_version = state->snapshot->version;
-      resolve(*state, leader, std::move(result), &times, true);
-
-      for (size_t follower_idx : slot.followers) {
-        VettingResult dup;
-        dup.malicious = verdict.malicious;
-        dup.score = verdict.score;
-        dup.from_cache = true;  // Emulation skipped via in-batch dedup.
-        dup.model_version = state->snapshot->version;
-        counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        obs::MetricsRegistry::Default()
-            .counter(obs::names::kServeCacheHitsTotal)
-            .Increment();
-        resolve(*state, state->batch[follower_idx], std::move(dup), nullptr,
-                true);
-      }
+      resolve_slot(emulated[j], result, times);
     }
   };
 
-  auto on_reject = [this, state, resolve](PoolRejectReason reason,
-                                          const std::vector<size_t>& affected) {
-    (void)this;
+  auto on_reject = [state, resolve_slot](PoolRejectReason reason,
+                                         const std::vector<size_t>& affected) {
+    VettingResult result;
+    result.status = VetStatus::kRejectedUnhealthy;
+    result.error = PoolRejectReasonName(reason);
+    result.model_version = state->snapshot->version;
     for (size_t slot_index : affected) {
-      const EmulationSlot& slot = state->slots[slot_index];
-      VettingResult result;
-      result.status = VetStatus::kRejectedUnhealthy;
-      result.error = PoolRejectReasonName(reason);
-      result.model_version = state->snapshot->version;
-      resolve(*state, state->batch[slot.leader], std::move(result), nullptr,
-              true);
-      for (size_t follower_idx : slot.followers) {
-        VettingResult dup;
-        dup.status = VetStatus::kRejectedUnhealthy;
-        dup.error = PoolRejectReasonName(reason);
-        dup.model_version = state->snapshot->version;
-        resolve(*state, state->batch[follower_idx], std::move(dup), nullptr,
-                true);
-      }
+      resolve_slot(slot_index, result, state->times);
     }
   };
-
-  // Dispatch timestamp + per-member batch spans are recorded BEFORE the pool
-  // handoff: a worker may complete the batch (sealing its traces) before
-  // Submit() even returns, and a span recorded after Complete is dropped.
-  state->dispatched_at = Clock::now();
-  std::vector<obs::TraceContext> slot_traces;
-  slot_traces.reserve(state->slots.size());
-  {
-    obs::TraceCollector& collector = obs::TraceCollector::Default();
-    auto record_batch_span = [&](const PendingSubmission& member) {
-      if (!member.trace.sampled()) {
-        return;
-      }
-      obs::StageSpan span;
-      span.stage = obs::stages::kBatch;
-      span.start_ms = collector.ToEpochMs(member.popped_at);
-      span.duration_ms = MsSince(member.popped_at, state->dispatched_at);
-      span.queue_depth = state->batch.size();
-      collector.Record(member.trace.trace_id, span);
-    };
-    for (const EmulationSlot& slot : state->slots) {
-      slot_traces.push_back(state->batch[slot.leader].trace);
-      record_batch_span(state->batch[slot.leader]);
-      for (size_t follower_idx : slot.followers) {
-        record_batch_span(state->batch[follower_idx]);
-      }
-    }
-  }
 
   const size_t num_slots = state->slots.size();
   if (!pool_.Submit(std::move(blobs), state->snapshot, affinity, on_complete,

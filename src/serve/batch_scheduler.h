@@ -3,13 +3,12 @@
 // cache-fill. Flushes on batch-full OR when the oldest queued member has
 // lingered past max_linger — the classic throughput/latency coalescing
 // trade-off (a full farm batch keeps all emulators busy; the linger cap keeps
-// a trickle of submissions from waiting forever). When the batch is empty the
-// scheduler blocks on the shards' condition variable, so the first submission
-// after an idle stretch wakes it immediately (no poll granularity).
+// a trickle of submissions from waiting forever).
 //
-// Since the unified-runtime refactor the scheduler owns NO thread: it is a
-// strand of tasks on the rt::Runtime. A shard push schedules a pump task
-// (coalesced — at most one queued at a time); the pump assembles the batch
+// The scheduler owns NO thread: it is a strand of tasks on the rt::Runtime.
+// A shard push schedules a pump task (coalesced — at most one queued at a
+// time), so the first submission after an idle stretch starts assembly
+// immediately (no poll granularity); the pump assembles the batch
 // and arms a linger timer at min(first-member + max_linger, earliest member
 // deadline); timer expiry flushes the partial batch. The strand serializes
 // pump, timer, and flush, so batch state needs no lock of its own.
@@ -23,6 +22,7 @@
 // farm finishes — so M farms stay busy while the scheduler assembles the next
 // batch. A pool-level failure (all farms down, retry budget exhausted)
 // resolves every member with kRejectedUnhealthy rather than dropping it.
+// Every member leaves through the ResolutionLedger, whichever path it took.
 // Acquires one model snapshot per batch, so hot-swaps take effect at the next
 // batch boundary and a batch is never classified by two different models.
 
@@ -37,9 +37,11 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "rt/runtime.h"
 #include "serve/digest_cache.h"
 #include "serve/farm_pool.h"
+#include "serve/ledger.h"
 #include "serve/serving_model.h"
 #include "serve/submission_shards.h"
 #include "serve/types.h"
@@ -62,7 +64,7 @@ class BatchScheduler {
   // shards/pool (the service shuts it down LAST in the teardown sequence).
   BatchScheduler(BatchSchedulerConfig config, rt::Runtime& runtime,
                  SubmissionShards& shards, DigestCache& cache,
-                 ServingModel& model, FarmPool& pool, ServiceCounters& counters,
+                 ServingModel& model, FarmPool& pool, ResolutionLedger& ledger,
                  store::VerdictStore* store = nullptr);
   ~BatchScheduler();
 
@@ -80,9 +82,8 @@ class BatchScheduler {
   // be closed, or this blocks until they are). No-op before Start().
   void Join();
 
-  bool running() const {
-    return started_.load(std::memory_order_acquire) && !drained();
-  }
+  // Batches assembled so far.
+  uint64_t batches() const { return batches_.load(std::memory_order_relaxed); }
 
  private:
   void SchedulePump();
@@ -99,8 +100,15 @@ class BatchScheduler {
   DigestCache& cache_;
   ServingModel& model_;
   FarmPool& pool_;
-  ServiceCounters& counters_;
+  ResolutionLedger& ledger_;
   store::VerdictStore* store_;  // Not owned; null when persistence is off.
+
+  std::atomic<uint64_t> batches_{0};
+  obs::Counter& batches_total_;
+  obs::Counter& cache_misses_total_;
+  obs::Histogram& batch_size_;
+  obs::Histogram& queue_wait_ms_;
+  obs::Gauge& queue_depth_;
 
   std::shared_ptr<rt::Strand> strand_;
   std::atomic<bool> started_{false};

@@ -7,7 +7,6 @@
 #include "obs/labels.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
-#include "obs/trace.h"
 #include "obs/trace_collector.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -424,7 +423,6 @@ void FarmPool::RunFarm(size_t farm_index) {
     // pool worker — never on the submitter or scheduler thread. Failover
     // retries reuse the cached parse.
     if (!batch->parsed) {
-      obs::TraceSpan parse_span("serve.farm_pool.parse");
       ParseStage(*batch);
     }
 
@@ -445,13 +443,9 @@ void FarmPool::RunFarm(size_t farm_index) {
       continue;
     }
 
-    emu::BatchResult result;
-    {
-      obs::TraceSpan span("serve.farm_pool.batch");
-      result = backends_[farm_index]->ExecuteBatch(
-          batch->apks, batch->snapshot->version, batch->snapshot->checker,
-          batch->snapshot->tracked);
-    }
+    const emu::BatchResult result = backends_[farm_index]->ExecuteBatch(
+        batch->apks, batch->snapshot->version, batch->snapshot->checker,
+        batch->snapshot->tracked);
 
     // Per-attempt farm span, recorded BEFORE any completion callback can seal
     // the trace (and before the fault path re-queues the batch). A failed-over

@@ -5,7 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "market/review_pipeline.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace_collector.h"
@@ -91,7 +90,16 @@ VettingService::VettingService(const android::ApiUniverse& universe,
               config.overload.class_weights),
       governor_(config.overload),
       scheduler_(ResolveSchedulerConfig(config), *runtime_, shards_, cache_,
-                 model_, pool_, counters_, store_.get()) {
+                 model_, pool_, ledger_, store_.get()),
+      fastpath_hits_total_(obs::MetricsRegistry::Default().counter(
+          obs::names::kServeCacheFastpathHitsTotal)),
+      queue_depth_(obs::MetricsRegistry::Default().gauge(obs::names::kServeQueueDepth)),
+      admission_ms_(obs::MetricsRegistry::Default().histogram(
+          obs::names::kServeAdmissionLatencyMs)) {
+  for (size_t b = 0; b < admission_ms_by_size_.size(); ++b) {
+    admission_ms_by_size_[b] = &obs::MetricsRegistry::Default().histogram(
+        AdmissionSeriesName(obs::names::kServeAdmissionLatencyMs, kApkSizeBuckets[b]));
+  }
   batch_size_hint_ = ResolveSchedulerConfig(config).batch_size;
   if (config_.trace_sample_rate > 0.0) {
     sample_every_ = static_cast<size_t>(
@@ -146,13 +154,8 @@ util::Result<std::future<VettingResult>> VettingService::Submit(Submission submi
 util::Result<std::future<VettingResult>> VettingService::SubmitWithCallback(
     Submission submission, std::function<void(const VettingResult&)> on_result) {
   const Clock::time_point entered_at = Clock::now();
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
-  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
-  metrics.counter(obs::names::kServeSubmissionsTotal).Increment();
-
   if (shut_down_.load(std::memory_order_acquire)) {
-    counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-    metrics.counter(obs::names::kServeRejectedTotal).Increment();
+    ledger_.Refuse({});
     return util::Err("service is shut down");
   }
 
@@ -161,16 +164,14 @@ util::Result<std::future<VettingResult>> VettingService::SubmitWithCallback(
   // bytes streamed in) and travels with the handle. Observed into the
   // size-bucketed admission-latency histograms so the "flat in APK size"
   // property is checkable from the metrics dump.
-  const char* size_bucket = ApkSizeBucket(submission.blob.size());
-  auto observe_admission = [&metrics, entered_at, size_bucket] {
+  obs::Histogram& admission_by_size =
+      *admission_ms_by_size_[ApkSizeBucketIndex(submission.blob.size())];
+  auto observe_admission = [this, &admission_by_size, entered_at] {
     const double ms =
         std::chrono::duration<double, std::milli>(Clock::now() - entered_at)
             .count();
-    metrics.histogram(obs::names::kServeAdmissionLatencyMs).Observe(ms);
-    metrics
-        .histogram(AdmissionSeriesName(obs::names::kServeAdmissionLatencyMs,
-                                       size_bucket))
-        .Observe(ms);
+    admission_ms_.Observe(ms);
+    admission_by_size.Observe(ms);
   };
 
   PendingSubmission pending;
@@ -178,11 +179,10 @@ util::Result<std::future<VettingResult>> VettingService::SubmitWithCallback(
   pending.blob = std::move(submission.blob);
   pending.priority = submission.priority;
   pending.admitted_at = entered_at;
-  const size_t cls = static_cast<size_t>(pending.priority);
   // No explicit deadline → the class SLO default (which may itself be unset).
   std::chrono::milliseconds relative_deadline = submission.deadline;
   if (relative_deadline.count() <= 0) {
-    relative_deadline = config_.overload.class_slo[cls];
+    relative_deadline = config_.overload.class_slo[static_cast<size_t>(pending.priority)];
   }
   pending.deadline = relative_deadline.count() > 0
                          ? pending.admitted_at + relative_deadline
@@ -192,72 +192,24 @@ util::Result<std::future<VettingResult>> VettingService::SubmitWithCallback(
 
   // Deterministic 1-in-N sampling on the submission id (ids start at 1, so
   // `id % N == 1 % N` picks the first submission and every Nth after it).
-  obs::TraceCollector& collector = obs::TraceCollector::Default();
   if (sample_every_ > 0 && pending.id % sample_every_ == 1 % sample_every_) {
-    pending.trace.trace_id = collector.StartTrace();
+    pending.trace.trace_id = obs::TraceCollector::Default().StartTrace();
   }
 
   // Admission fast-path: a digest this model version already judged resolves
   // here, without a queue round-trip — the duplicate-heavy market traffic the
   // paper describes never costs a scheduler wakeup.
   if (auto cached = cache_.Get(pending.digest(), model_.version())) {
-    counters_.accepted.fetch_add(1, std::memory_order_relaxed);
-    counters_.accepted_by_class[cls].fetch_add(1, std::memory_order_relaxed);
-    metrics.counter(obs::names::kServeAcceptedTotal).Increment();
-    metrics.counter(ClassSeriesName(obs::names::kServeAcceptedTotal,
-                                    pending.priority))
-        .Increment();
+    fastpath_hits_total_.Increment();
+    ledger_.Accept(pending.priority);
     VettingResult result;
     result.malicious = cached->malicious;
     result.score = cached->score;
     result.from_cache = true;
     result.model_version = cached->model_version;
-    result.total_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - entered_at)
-            .count();
-    counters_.completed.fetch_add(1, std::memory_order_relaxed);
-    counters_.completed_by_class[cls].fetch_add(1, std::memory_order_relaxed);
-    metrics.counter(obs::names::kServeCompletedTotal).Increment();
-    metrics.counter(ClassSeriesName(obs::names::kServeCompletedTotal,
-                                    pending.priority))
-        .Increment();
-    counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    metrics.counter(obs::names::kServeCacheHitsTotal).Increment();
-    metrics.counter(obs::names::kServeCacheFastpathHitsTotal).Increment();
-    if (cached->warm) {
-      counters_.warm_start_hits.fetch_add(1, std::memory_order_relaxed);
-      metrics.counter(obs::names::kStoreWarmStartHitsTotal).Increment();
-    }
-    metrics.histogram(obs::names::kServeE2eLatencyMs).Observe(result.total_ms);
-    metrics
-        .histogram(ClassSeriesName(obs::names::kServeE2eLatencyMs,
-                                   pending.priority))
-        .Observe(result.total_ms);
-    market::RecordReviewOutcome(result.malicious
-                                    ? market::ReviewOutcome::kRejectedByChecker
-                                    : market::ReviewOutcome::kPublished);
-    if (pending.trace.sampled()) {
-      // Fast-path trace: the whole lifetime is the admission check itself.
-      // Breakdown = {submit: total, resolve: 0} so the partition still sums
-      // to the end-to-end latency.
-      obs::StageSpan submit_span;
-      submit_span.stage = obs::stages::kSubmit;
-      submit_span.start_ms = collector.ToEpochMs(entered_at);
-      submit_span.duration_ms = result.total_ms;
-      collector.Record(pending.trace.trace_id, submit_span);
-      obs::StageSpan resolve_span;
-      resolve_span.stage = obs::stages::kResolve;
-      resolve_span.start_ms = submit_span.start_ms + result.total_ms;
-      collector.Record(pending.trace.trace_id, resolve_span);
-      std::vector<obs::StageMs> breakdown;
-      breakdown.push_back({obs::stages::kSubmit, result.total_ms});
-      breakdown.push_back({obs::stages::kResolve, 0.0});
-      obs::ObserveStageBreakdown(breakdown, result.total_ms);
-      collector.Complete(pending.trace.trace_id, VetStatusName(result.status),
-                         /*from_cache=*/true, std::move(breakdown),
-                         result.total_ms);
-    }
-    DeliverResult(pending, std::move(result));
+    Timeline times;
+    times.warm = cached->warm;
+    ledger_.Resolve(pending, std::move(result), times);
     observe_admission();
     return future;
   }
@@ -282,99 +234,36 @@ util::Result<std::future<VettingResult>> VettingService::SubmitWithCallback(
     const PressureState pressure = governor_.Evaluate(
         backlog, shards_.class_capacity(), ingest::ApkBlob::PoolBytes());
     if (OverloadGovernor::ShouldShed(pressure, pending.priority)) {
-      counters_.accepted.fetch_add(1, std::memory_order_relaxed);
-      counters_.accepted_by_class[cls].fetch_add(1, std::memory_order_relaxed);
-      metrics.counter(obs::names::kServeAcceptedTotal).Increment();
-      metrics.counter(ClassSeriesName(obs::names::kServeAcceptedTotal,
-                                      pending.priority))
-          .Increment();
-      counters_.shed_overload.fetch_add(1, std::memory_order_relaxed);
-      counters_.shed_by_class[cls].fetch_add(1, std::memory_order_relaxed);
-      metrics.counter(obs::names::kServeShedTotal).Increment();
-      metrics.counter(ClassSeriesName(obs::names::kServeShedTotal,
-                                      pending.priority))
-          .Increment();
+      ledger_.Accept(pending.priority);
       VettingResult result;
       result.status = VetStatus::kShedOverload;
       result.model_version = model_.version();
       result.error = PressureStateName(pressure);
-      result.total_ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - entered_at)
-              .count();
-      metrics.histogram(obs::names::kServeE2eLatencyMs).Observe(result.total_ms);
-      metrics
-          .histogram(ClassSeriesName(obs::names::kServeE2eLatencyMs,
-                                     pending.priority))
-          .Observe(result.total_ms);
-      if (pending.trace.sampled()) {
-        obs::StageSpan submit_span;
-        submit_span.stage = obs::stages::kSubmit;
-        submit_span.start_ms = collector.ToEpochMs(entered_at);
-        submit_span.duration_ms = result.total_ms;
-        collector.Record(pending.trace.trace_id, submit_span);
-        std::vector<obs::StageMs> breakdown;
-        breakdown.push_back({obs::stages::kSubmit, result.total_ms});
-        obs::ObserveStageBreakdown(breakdown, result.total_ms);
-        collector.Complete(pending.trace.trace_id,
-                           VetStatusName(result.status), /*from_cache=*/false,
-                           std::move(breakdown), result.total_ms);
-      }
-      DeliverResult(pending, std::move(result));
+      ledger_.Resolve(pending, std::move(result), {});
       observe_admission();
       return future;
     }
   }
 
-  // The submit span must be recorded BEFORE the push: once the record is in a
-  // shard queue the scheduler may pop, resolve, and seal the trace faster
-  // than this thread runs another statement.
   pending.enqueued_at = Clock::now();
-  const obs::TraceContext trace = pending.trace;  // Survives the move below.
-  if (trace.sampled()) {
-    obs::StageSpan span;
-    span.stage = obs::stages::kSubmit;
-    span.start_ms = collector.ToEpochMs(entered_at);
-    span.duration_ms =
-        std::chrono::duration<double, std::milli>(pending.enqueued_at - entered_at)
-            .count();
-    span.queue_depth = shards_.ApproxDepth();
-    collector.Record(trace.trace_id, span);
+  if (pending.trace.sampled()) {
+    pending.submit_depth = shards_.ApproxDepth();
   }
-
-  // Admission-control rejections seal the trace with an empty breakdown (the
-  // submission never entered the pipeline, so it must not feed the per-stage
-  // histograms — those partition *resolved* submissions only).
-  auto complete_rejected = [&collector, &trace] {
-    if (trace.sampled()) {
-      collector.Complete(trace.trace_id, "rejected", /*from_cache=*/false, {},
-                         0.0);
-    }
-  };
-
+  const obs::TraceContext trace = pending.trace;  // Survives the move below.
+  const Priority priority = pending.priority;
   switch (shards_.TryPush(std::move(pending))) {
     case AdmissionOutcome::kAccepted:
-      counters_.accepted.fetch_add(1, std::memory_order_relaxed);
-      counters_.accepted_by_class[cls].fetch_add(1, std::memory_order_relaxed);
-      metrics.counter(obs::names::kServeAcceptedTotal).Increment();
-      metrics
-          .counter(ClassSeriesName(obs::names::kServeAcceptedTotal,
-                                   static_cast<Priority>(cls)))
-          .Increment();
-      metrics.gauge(obs::names::kServeQueueDepth)
-          .Set(static_cast<double>(shards_.ApproxDepth()));
+      ledger_.Accept(priority);
+      queue_depth_.Set(static_cast<double>(shards_.ApproxDepth()));
       observe_admission();
       return future;
     case AdmissionOutcome::kQueueFull:
-      counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-      metrics.counter(obs::names::kServeRejectedTotal).Increment();
-      complete_rejected();
+      ledger_.Refuse(trace);
       return util::Err("admission queue full");
     case AdmissionOutcome::kClosed:
       break;
   }
-  counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-  metrics.counter(obs::names::kServeRejectedTotal).Increment();
-  complete_rejected();
+  ledger_.Refuse(trace);
   return util::Err("service is shut down");
 }
 
@@ -438,23 +327,19 @@ void VettingService::Shutdown() {
     // runtime now (not in ~VettingService) guarantees stale strand/timer
     // tasks can never touch a destroyed member.
     runtime_->Shutdown();
+    const ServiceStats drained = ledger_.stats();
     APICHECKER_SLOG(Info, "serve.drained")
-        .With("accepted", counters_.accepted.load())
-        .With("resolved", counters_.resolved());
+        .With("accepted", drained.accepted)
+        .With("resolved", drained.resolved());
   });
 }
 
 uint32_t VettingService::SwapModel(core::ApiChecker next) {
-  counters_.model_swaps.fetch_add(1, std::memory_order_relaxed);
   return model_.Swap(std::move(next));
 }
 
 util::Result<uint32_t> VettingService::SwapModelFromBlob(std::span<const uint8_t> blob) {
-  auto version = model_.SwapFromBlob(universe_, blob);
-  if (version.ok()) {
-    counters_.model_swaps.fetch_add(1, std::memory_order_relaxed);
-  }
-  return version;
+  return model_.SwapFromBlob(universe_, blob);
 }
 
 void VettingService::AttachToRegistry(market::ModelRegistry& registry) {
@@ -467,30 +352,10 @@ void VettingService::AttachToRegistry(market::ModelRegistry& registry) {
 }
 
 ServiceStats VettingService::stats() const {
-  ServiceStats stats;
-  stats.submitted = counters_.submitted.load(std::memory_order_relaxed);
-  stats.accepted = counters_.accepted.load(std::memory_order_relaxed);
-  stats.rejected = counters_.rejected.load(std::memory_order_relaxed);
-  stats.completed = counters_.completed.load(std::memory_order_relaxed);
-  stats.deadline_expired = counters_.deadline_expired.load(std::memory_order_relaxed);
-  stats.parse_errors = counters_.parse_errors.load(std::memory_order_relaxed);
-  stats.cache_hits = counters_.cache_hits.load(std::memory_order_relaxed);
-  stats.warm_start_hits = counters_.warm_start_hits.load(std::memory_order_relaxed);
-  stats.model_swaps = counters_.model_swaps.load(std::memory_order_relaxed);
-  stats.batches = counters_.batches.load(std::memory_order_relaxed);
-  stats.rejected_unhealthy =
-      counters_.rejected_unhealthy.load(std::memory_order_relaxed);
-  stats.shed_overload = counters_.shed_overload.load(std::memory_order_relaxed);
-  for (size_t c = 0; c < kNumPriorityClasses; ++c) {
-    stats.accepted_by_class[c] =
-        counters_.accepted_by_class[c].load(std::memory_order_relaxed);
-    stats.completed_by_class[c] =
-        counters_.completed_by_class[c].load(std::memory_order_relaxed);
-    stats.expired_by_class[c] =
-        counters_.expired_by_class[c].load(std::memory_order_relaxed);
-    stats.shed_by_class[c] =
-        counters_.shed_by_class[c].load(std::memory_order_relaxed);
-  }
+  ServiceStats stats = ledger_.stats();
+  // Version 1 is the initial model; every swap publishes the next one.
+  stats.model_swaps = model_.version() - 1;
+  stats.batches = scheduler_.batches();
   const FarmPoolStats pool_stats = pool_.stats();
   stats.farm_faults = pool_stats.faults;
   stats.farm_retries = pool_stats.retries;

@@ -11,8 +11,10 @@
 //    error; accepted work is bounded by num_shards * shard_capacity.
 //  * No lost submissions — after Shutdown(), accepted == completed +
 //    deadline_expired + parse_errors + rejected_unhealthy + shed_overload.
-//    Even with every farm circuit-broken or the overload governor shedding,
-//    a submission resolves visibly; it never hangs.
+//    Every way out of the service goes through one ResolutionLedger, so this
+//    holds by construction: even with every farm circuit-broken or the
+//    overload governor shedding, a submission resolves visibly; it never
+//    hangs.
 //  * Graceful degradation — under pressure the governor sheds bulk first,
 //    then rescan, never interactive (see serve/overload.h).
 //  * No torn models — each batch classifies under exactly one ModelSnapshot;
@@ -21,10 +23,12 @@
 #ifndef APICHECKER_SERVE_SERVICE_H_
 #define APICHECKER_SERVE_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -38,6 +42,7 @@
 #include "serve/batch_scheduler.h"
 #include "serve/digest_cache.h"
 #include "serve/farm_pool.h"
+#include "serve/ledger.h"
 #include "serve/overload.h"
 #include "serve/serving_model.h"
 #include "serve/submission_shards.h"
@@ -176,7 +181,6 @@ class VettingService {
   // Null when persistence is disabled or the store failed to open.
   const store::VerdictStore* verdict_store() const { return store_.get(); }
   uint32_t model_version() const { return model_.version(); }
-  size_t queue_depth() const { return shards_.ApproxDepth(); }
   // Lifetime shard-queue pushes; lets tests prove the admission fast-path
   // resolved a duplicate without enqueueing it.
   uint64_t shard_pushes() const { return shards_.total_pushes(); }
@@ -191,7 +195,7 @@ class VettingService {
 
   const android::ApiUniverse& universe_;
   ServiceConfig config_;
-  ServiceCounters counters_;
+  ResolutionLedger ledger_;
   DigestCache cache_;
   // Declared before pool_/scheduler_ so it outlives the tasks that append
   // to it; Shutdown() flushes it after the pool drains (see Shutdown()).
@@ -215,6 +219,11 @@ class VettingService {
   // Resolved scheduler batch size (0-means-num_emulators already applied):
   // converts the farm pool's batch backlog into submissions for the governor.
   size_t batch_size_hint_ = 1;
+  // Admission metrics, resolved once.
+  obs::Counter& fastpath_hits_total_;
+  obs::Gauge& queue_depth_;
+  obs::Histogram& admission_ms_;
+  std::array<obs::Histogram*, std::size(kApkSizeBuckets)> admission_ms_by_size_{};
 };
 
 }  // namespace apichecker::serve

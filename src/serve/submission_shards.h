@@ -7,7 +7,7 @@
 // memory, explicit errors, never OOM. Each class has its own capacity, so a
 // bulk storm can never occupy the slots interactive traffic needs.
 //
-// The consumer side is a cross-shard, cross-class timed pop the batch
+// The consumer side is a cross-shard, cross-class non-blocking pop the batch
 // scheduler uses to assemble batches. Classes are served by smooth weighted
 // round-robin: each class accrues credit equal to its weight per pop, the
 // richest class is swept first, and the winner pays the total weight — giving
@@ -18,8 +18,6 @@
 #define APICHECKER_SERVE_SUBMISSION_SHARDS_H_
 
 #include <array>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,21 +49,11 @@ class SubmissionShards {
   AdmissionOutcome TryPush(PendingSubmission pending);
 
   // Pops from any shard (weighted-fair across classes, round-robin sweep from
-  // a rotating cursor within a class, so no shard starves). Blocks up to
-  // `timeout` when everything is empty; nullopt on timeout or when closed and
-  // fully drained.
-  std::optional<PendingSubmission> PopAnyFor(std::chrono::milliseconds timeout);
-
-  // Untimed variant: sleeps on the push/close condition variable until a
-  // submission arrives or the shards close. Nullopt only when closed and
-  // drained — this is what lets an idle consumer wake on the next push
-  // immediately instead of at some poll granularity.
-  std::optional<PendingSubmission> PopAnyBlocking();
-
-  // Non-blocking variant of PopAnyFor.
+  // a rotating cursor within a class, so no shard starves). Never blocks:
+  // nullopt when everything is empty.
   std::optional<PendingSubmission> TryPopAny();
 
-  // Idempotent: fails further pushes, wakes consumers, lets pops drain.
+  // Idempotent: fails further pushes, notifies the listener, lets pops drain.
   void Close();
   bool closed() const;
 
@@ -81,8 +69,6 @@ class SubmissionShards {
   // Queued in one class's lanes across shards (approximate).
   size_t ApproxDepthByClass(Priority priority) const;
 
-  size_t num_shards() const { return shards_.size(); }
-  size_t per_shard_capacity() const { return per_shard_capacity_; }
   // Total capacity of ONE class's lanes (num_shards * per_shard_capacity) —
   // the denominator for the overload governor's queue-depth watermarks.
   size_t class_capacity() const { return shards_.size() * per_shard_capacity_; }
@@ -104,10 +90,9 @@ class SubmissionShards {
   ClassWeights weights_{};
   uint32_t total_weight_ = 0;
 
-  // Consumer wakeup: pushes bump `pushes_` so a sweeping consumer can sleep
-  // without missing a submission that lands mid-sweep.
+  // Pushes bump `pushes_` so a sweeping consumer can tell a push that landed
+  // mid-sweep from a drained queue.
   mutable std::mutex signal_mu_;
-  std::condition_variable signal_cv_;
   uint64_t pushes_ = 0;
   bool closed_ = false;
   std::function<void()> push_listener_;  // Guarded by signal_mu_.

@@ -1,6 +1,6 @@
 // Shared types of the online vetting service: the submission request, the
-// resolved vetting result, the in-queue pending record, and the counter block
-// every stage reports into. The service models the paper's production loop —
+// resolved vetting result, the in-queue pending record, and the stats the
+// resolution ledger reports. The service models the paper's production loop —
 // T-Market submits ~10K APKs/day and expects verdicts back within the hour
 // (§5) — as an in-process request/response system with explicit backpressure.
 
@@ -8,7 +8,6 @@
 #define APICHECKER_SERVE_TYPES_H_
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -88,6 +87,8 @@ enum class VetStatus : uint8_t {
   kAbortedUpload = 5,
 };
 
+inline constexpr size_t kNumVetStatuses = 6;
+
 inline const char* VetStatusName(VetStatus status) {
   switch (status) {
     case VetStatus::kOk:
@@ -129,10 +130,13 @@ struct PendingSubmission {
   Clock::time_point admitted_at;
   // Contiguous stage timestamps for latency attribution: admitted_at ->
   // enqueued_at (submit) -> popped_at (shard-queue wait) -> dispatch (batch
-  // assembly/linger) -> ... Stamped by Submit() and the shard pop path.
+  // assembly/linger) -> ... Stamped by Submit() and the shard pop path; the
+  // ledger builds the trace partition from them (serve/ledger.h).
   Clock::time_point enqueued_at;
   Clock::time_point popped_at;
   Clock::time_point deadline;     // Clock::time_point::max() = none.
+  // Shard backlog seen at admission: the submit span's queue depth.
+  size_t submit_depth = 0;
   // Request-scoped trace identity, propagated by value through every stage;
   // trace.sampled() == false makes all recording no-ops.
   obs::TraceContext trace;
@@ -147,27 +151,15 @@ struct PendingSubmission {
   const std::string& digest() const { return blob.digest(); }
 };
 
-// Every resolution site funnels through here so the promise/callback ordering
-// is uniform: future waiters are released first, then the async hook fires
-// with the settled value.
-inline void DeliverResult(PendingSubmission& pending, VettingResult result) {
-  auto on_result = std::move(pending.on_result);
-  if (on_result) {
-    VettingResult settled = result;
-    pending.promise.set_value(std::move(result));
-    on_result(settled);
-  } else {
-    pending.promise.set_value(std::move(result));
-  }
-}
-
 // Coarse APK size classes for the admission-latency histograms. The flat-
 // admission property the ingest refactor buys is exactly "the large bucket's
 // p99 tracks the small bucket's" — ci.sh asserts it from the metrics JSON.
-inline const char* ApkSizeBucket(size_t bytes) {
-  if (bytes < 256 * 1024) return "small";
-  if (bytes < 4 * 1024 * 1024) return "medium";
-  return "large";
+inline constexpr const char* kApkSizeBuckets[] = {"small", "medium", "large"};
+
+inline size_t ApkSizeBucketIndex(size_t bytes) {
+  if (bytes < 256 * 1024) return 0;
+  if (bytes < 4 * 1024 * 1024) return 1;
+  return 2;
 }
 
 // Per-size-bucket metric series name with an embedded Prometheus label, e.g.
@@ -177,54 +169,30 @@ inline std::string AdmissionSeriesName(const char* base, const char* bucket) {
   return obs::LabeledSeriesName(base, "size", bucket);
 }
 
-// Lifecycle accounting shared by admission, scheduler, farm pool, and cache.
-// The serving invariant — no lost submissions — is `accepted == resolved`
-// after a drain, where resolved = completed + deadline_expired + parse_errors
-// + rejected_unhealthy + shed_overload. The invariant must hold even when
+// Resolutions counted by status (row, VetStatus) and traffic class (column,
+// Priority).
+using ResolutionMatrix =
+    std::array<std::array<uint64_t, kNumPriorityClasses>, kNumVetStatuses>;
+
+// Value copy of the service's accounting. The serving invariant — no lost
+// submissions — is `accepted == resolved()` after a drain; it holds even when
 // farms die mid-run and when overload control is actively shedding.
-struct ServiceCounters {
-  std::atomic<uint64_t> submitted{0};
-  std::atomic<uint64_t> accepted{0};
-  std::atomic<uint64_t> rejected{0};          // Admission-control rejections.
-  std::atomic<uint64_t> completed{0};         // kOk results (incl. cache hits).
-  std::atomic<uint64_t> deadline_expired{0};
-  std::atomic<uint64_t> parse_errors{0};
-  std::atomic<uint64_t> rejected_unhealthy{0};  // No healthy farm / retries spent.
-  std::atomic<uint64_t> shed_overload{0};  // Dropped by the overload governor.
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> warm_start_hits{0};  // Cache hits on store-recovered entries.
-  std::atomic<uint64_t> model_swaps{0};
-  std::atomic<uint64_t> batches{0};
-  // Per-traffic-class breakdowns, indexed by Priority. A shed submission
-  // counts as accepted (it received a verdict) and as shed.
-  std::array<std::atomic<uint64_t>, kNumPriorityClasses> accepted_by_class{};
-  std::array<std::atomic<uint64_t>, kNumPriorityClasses> completed_by_class{};
-  std::array<std::atomic<uint64_t>, kNumPriorityClasses> expired_by_class{};
-  std::array<std::atomic<uint64_t>, kNumPriorityClasses> shed_by_class{};
-
-  uint64_t resolved() const {
-    return completed.load(std::memory_order_relaxed) +
-           deadline_expired.load(std::memory_order_relaxed) +
-           parse_errors.load(std::memory_order_relaxed) +
-           rejected_unhealthy.load(std::memory_order_relaxed) +
-           shed_overload.load(std::memory_order_relaxed);
-  }
-};
-
-// Value copy of the counters for callers.
 struct ServiceStats {
-  uint64_t submitted = 0;
+  uint64_t submitted = 0;  // accepted + rejected.
   uint64_t accepted = 0;
-  uint64_t rejected = 0;
-  uint64_t completed = 0;
+  uint64_t rejected = 0;   // Admission-control refusals.
+  // Per-status views of `resolutions`.
+  uint64_t completed = 0;  // kOk results (incl. cache hits).
   uint64_t deadline_expired = 0;
   uint64_t parse_errors = 0;
-  uint64_t rejected_unhealthy = 0;
-  uint64_t shed_overload = 0;
+  uint64_t rejected_unhealthy = 0;  // No healthy farm / retries spent.
+  uint64_t shed_overload = 0;       // Dropped by the overload governor.
   uint64_t cache_hits = 0;
-  uint64_t warm_start_hits = 0;
+  uint64_t warm_start_hits = 0;  // Cache hits on store-recovered entries.
   uint64_t model_swaps = 0;
   uint64_t batches = 0;
+  // Per-traffic-class breakdowns, indexed by Priority. A shed submission
+  // counts as accepted (it received a verdict) and as shed.
   std::array<uint64_t, kNumPriorityClasses> accepted_by_class{};
   std::array<uint64_t, kNumPriorityClasses> completed_by_class{};
   std::array<uint64_t, kNumPriorityClasses> expired_by_class{};
@@ -232,10 +200,15 @@ struct ServiceStats {
   // Farm-pool accounting (mirrors FarmPoolStats aggregates).
   uint64_t farm_faults = 0;
   uint64_t farm_retries = 0;
+  ResolutionMatrix resolutions{};
 
+  // Every status of every class: no status can be left out of the sum.
   uint64_t resolved() const {
-    return completed + deadline_expired + parse_errors + rejected_unhealthy +
-           shed_overload;
+    uint64_t total = 0;
+    for (const auto& row : resolutions) {
+      for (uint64_t n : row) total += n;
+    }
+    return total;
   }
 };
 

@@ -29,7 +29,8 @@ std::vector<uint8_t> EncodeRecord(const VerdictRecord& record) {
 namespace {
 
 // Decodes the payload of one frame. Returns false on any structural problem
-// (the CRC already passed, so this only fires on a format-version skew).
+// or a score outside [0, 1] (the CRC already passed, so this fires on a
+// format-version skew or on a record written with a bad score).
 bool DecodePayload(std::span<const uint8_t> payload, VerdictRecord& out) {
   util::ByteReader reader(payload);
   auto digest = reader.ReadString();
@@ -50,7 +51,9 @@ bool DecodePayload(std::span<const uint8_t> payload, VerdictRecord& out) {
   out.malicious = *malicious != 0;
   out.score = std::bit_cast<double>(*score_bits);
   out.timestamp_ms = *timestamp;
-  return true;
+  // A score is a malice probability; anything else (NaN included) must not
+  // replay into the verdict cache.
+  return out.score >= 0.0 && out.score <= 1.0;
 }
 
 }  // namespace

@@ -1,16 +1,15 @@
-// Capacity-bounded FIFO MPMC queue (mutex + condition variables) with close
-// semantics: the serving layer's admission-control primitive. TryPush gives
-// producers a non-blocking rejection path (backpressure instead of unbounded
-// growth), Close() wakes every waiter, fails further pushes, and lets
-// consumers drain what is already queued. Priority ordering lives above this
-// queue (serve::SubmissionShards keeps one strict-FIFO lane per class).
+// Capacity-bounded, non-blocking FIFO MPMC queue with close semantics: the
+// serving layer's admission-control primitive. TryPush gives producers a
+// rejection path (backpressure instead of unbounded growth); Close() fails
+// further pushes and lets consumers drain what is already queued. Nothing
+// blocks on it: the consumer is event-driven (serve::SubmissionShards
+// notifies a listener per push). Priority ordering lives above this queue
+// (serve::SubmissionShards keeps one strict-FIFO lane per class).
 
 #ifndef APICHECKER_UTIL_BOUNDED_QUEUE_H_
 #define APICHECKER_UTIL_BOUNDED_QUEUE_H_
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
@@ -27,64 +26,31 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  // Non-blocking. Returns false when the queue is full or closed.
+  // Returns false when the queue is full or closed.
   bool TryPush(T value) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) {
-        return false;
-      }
-      items_.push_back(std::move(value));
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_ || items_.size() >= capacity_) {
+      return false;
     }
-    not_empty_.notify_one();
+    items_.push_back(std::move(value));
     return true;
   }
 
-  // Blocks while full. Returns false if the queue was (or becomes) closed.
-  bool Push(T value) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock, [this] { return closed_ || items_.size() < capacity_; });
-      if (closed_) {
-        return false;
-      }
-      items_.push_back(std::move(value));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  // Blocks until an item arrives or the queue is closed and drained.
-  std::optional<T> Pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    return PopLocked();
-  }
-
+  // Nullopt when the queue is empty (closed or not).
   std::optional<T> TryPop() {
     std::lock_guard<std::mutex> lock(mu_);
     if (items_.empty()) {
       return std::nullopt;
     }
-    return PopUnconditionallyLocked();
-  }
-
-  // Blocks up to `timeout`; nullopt on timeout or on closed-and-drained.
-  template <typename Rep, typename Period>
-  std::optional<T> PopFor(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait_for(lock, timeout, [this] { return closed_ || !items_.empty(); });
-    return PopLocked();
+    std::optional<T> value(std::move(items_.front()));
+    items_.pop_front();
+    return value;
   }
 
   // Idempotent. Further pushes fail; pops drain the remaining items.
   void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    not_empty_.notify_all();
-    not_full_.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
   }
 
   bool closed() const {
@@ -100,24 +66,7 @@ class BoundedQueue {
   size_t capacity() const { return capacity_; }
 
  private:
-  // Both helpers require mu_ held.
-  std::optional<T> PopLocked() {
-    if (items_.empty()) {
-      return std::nullopt;  // Closed and drained (or timed out).
-    }
-    return PopUnconditionallyLocked();
-  }
-
-  std::optional<T> PopUnconditionallyLocked() {
-    std::optional<T> value(std::move(items_.front()));
-    items_.pop_front();
-    not_full_.notify_one();
-    return value;
-  }
-
   mutable std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
   const size_t capacity_;
   bool closed_ = false;

@@ -48,19 +48,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   task_available_.notify_one();
 }
 
-bool ThreadPool::TrySubmit(std::function<void()> task, size_t max_pending) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutting_down_ || in_flight_ >= max_pending) {
-      return false;
-    }
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  task_available_.notify_one();
-  return true;
-}
-
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });

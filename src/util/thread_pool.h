@@ -28,11 +28,6 @@ class ThreadPool {
   // Enqueues a task for asynchronous execution.
   void Submit(std::function<void()> task);
 
-  // Non-blocking admission-controlled submit: enqueues only while fewer than
-  // `max_pending` tasks are queued or running. Returns whether the task was
-  // accepted (false = caller should shed load or retry later).
-  bool TrySubmit(std::function<void()> task, size_t max_pending);
-
   // Blocks until every submitted task has finished.
   void Wait();
 

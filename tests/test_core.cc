@@ -2,13 +2,17 @@
 // key-API selection, the ApiChecker facade, and the Table 1 baselines.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "core/baselines.h"
 #include "core/checker.h"
+#include "core/model_store.h"
 #include "core/selection.h"
 #include "core/study.h"
 #include "synth/corpus.h"
@@ -271,6 +275,38 @@ TEST(ApiChecker, ModelSerializes) {
   EXPECT_FALSE(bytes.empty());
   auto restored = ml::RandomForest::Deserialize(bytes);
   ASSERT_TRUE(restored.ok());
+}
+
+// The decision threshold is a bit-cast double: NaN (which would make every
+// verdict benign), an infinity or anything outside [0, 1] is rejected at
+// decode; the bounds themselves are valid.
+TEST(ModelStore, DeserializeRejectsThresholdOutsideUnitInterval) {
+  ApiCheckerConfig config;
+  config.forest.num_trees = 4;
+  ApiChecker checker(TestUniverse(), config);
+  checker.TrainFromStudy(TestStudy());
+  const std::vector<uint8_t> valid = SerializeChecker(checker);
+  ASSERT_TRUE(DeserializeChecker(TestUniverse(), valid).ok());
+
+  // magic (4) + version (2) + four option bytes, then the threshold.
+  constexpr size_t kThresholdAt = 10;
+  auto with_threshold = [&valid](double threshold) {
+    std::vector<uint8_t> bytes = valid;
+    const uint64_t bits = std::bit_cast<uint64_t>(threshold);
+    std::memcpy(bytes.data() + kThresholdAt, &bits, sizeof(bits));
+    return bytes;
+  };
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), -0.25, 1.5}) {
+    EXPECT_FALSE(DeserializeChecker(TestUniverse(), with_threshold(bad)).ok())
+        << "threshold " << bad;
+  }
+  for (double good : {0.0, 1.0}) {
+    auto restored = DeserializeChecker(TestUniverse(), with_threshold(good));
+    ASSERT_TRUE(restored.ok()) << "threshold " << good;
+    EXPECT_EQ(restored->config().threshold, good);
+  }
 }
 
 TEST(FeatureSchema, FrequencyBucketsAreLogScaled) {

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -302,6 +303,37 @@ TEST(Messages, BatchResultRoundTripsEveryReportField) {
   // Round-trip stability: encode(decode(x)) == encode(x) is the bit-for-bit
   // contract remote parity rests on.
   EXPECT_EQ(EncodeBatchResult(*decoded), EncodeBatchResult(result));
+}
+
+// No fabric float carries a NaN or an infinity; one arriving must fail the
+// decode instead of reaching a histogram (and from there an integer cast).
+TEST(Messages, BatchResultWithNonFiniteFloatsFailsToDecode) {
+  auto encoded_with = [](auto mutate) {
+    emu::BatchResult result;
+    result.makespan_minutes = 4.0;
+    result.total_emulation_minutes = 8.0;
+    emu::EmulationReport report;
+    report.emulation_minutes = 2.0;
+    report.rac = 0.5;
+    result.reports.push_back(report);
+    mutate(result);
+    return EncodeBatchResult(result);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(DecodeBatchResult(encoded_with([](emu::BatchResult&) {})).ok());
+  EXPECT_FALSE(DecodeBatchResult(encoded_with([&](emu::BatchResult& r) {
+                 r.makespan_minutes = inf;
+               })).ok());
+  EXPECT_FALSE(DecodeBatchResult(encoded_with([&](emu::BatchResult& r) {
+                 r.total_emulation_minutes = -inf;
+               })).ok());
+  EXPECT_FALSE(DecodeBatchResult(encoded_with([&](emu::BatchResult& r) {
+                 r.reports[0].emulation_minutes = nan;
+               })).ok());
+  EXPECT_FALSE(DecodeBatchResult(encoded_with([&](emu::BatchResult& r) {
+                 r.reports[0].rac = nan;
+               })).ok());
 }
 
 TEST(Messages, HostileElementCountRejectedWithoutAllocation) {

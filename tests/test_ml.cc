@@ -1,6 +1,10 @@
 // Unit tests for src/ml: dataset handling, metrics, all nine classifiers
 // (parameterized), cross-validation, serialization, and Gini importance.
 
+#include <bit>
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "ml/cart.h"
@@ -275,6 +279,86 @@ TEST(RandomForest, SerializationRoundTrips) {
 TEST(RandomForest, DeserializeRejectsBadMagic) {
   std::vector<uint8_t> bytes = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
   EXPECT_FALSE(RandomForest::Deserialize(bytes).ok());
+}
+
+// Little-endian in-place overwrite of one u32 field of a serialized model.
+void SetU32(std::vector<uint8_t>& bytes, size_t offset, uint32_t value) {
+  ASSERT_LE(offset + 4, bytes.size());
+  for (size_t i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
+// A count in a model blob is untrusted: one the bytes left cannot hold is an
+// error before it drives a reserve (2^32 - 1 trees, nodes or importance
+// entries would otherwise ask for tens of GB and throw std::bad_alloc).
+TEST(RandomForest, DeserializeRejectsCountsBeyondTheBlob) {
+  const Dataset data = MakeLearnableDataset(200, 8, 29);
+  RandomForestConfig config;
+  config.num_trees = 2;
+  RandomForest forest(config);
+  forest.Train(data);
+  const std::vector<uint8_t> valid = forest.Serialize();
+  ASSERT_TRUE(RandomForest::Deserialize(valid).ok());
+
+  // Header: magic, num_features, num_trees; then the first tree's node count.
+  // The blob ends with the importance count and its 8 doubles.
+  const size_t importance_count_at = valid.size() - 8 * 8 - 4;
+  for (size_t offset : {size_t{8}, size_t{12}, importance_count_at}) {
+    for (uint32_t count : {0xFFFF'FFFFu, 1u << 28}) {
+      std::vector<uint8_t> hostile = valid;
+      SetU32(hostile, offset, count);
+      EXPECT_FALSE(RandomForest::Deserialize(hostile).ok())
+          << "count " << count << " at offset " << offset;
+    }
+  }
+}
+
+TEST(CartTree, DeserializeRejectsNodeCountBeyondTheBlob) {
+  util::ByteWriter writer;
+  writer.PutU32(1);  // One node (16 bytes): a valid leaf.
+  for (uint32_t field : {0xFFFF'FFFFu, 0u, 0u, std::bit_cast<uint32_t>(0.5f)}) {
+    writer.PutU32(field);
+  }
+  const std::vector<uint8_t> exact = writer.TakeBytes();
+  util::ByteReader exact_reader(exact);
+  EXPECT_TRUE(CartTree::Deserialize(exact_reader).ok());
+
+  for (uint32_t count : {2u, 0xFFFF'FFFFu}) {
+    std::vector<uint8_t> hostile = exact;
+    SetU32(hostile, 0, count);
+    util::ByteReader reader(hostile);
+    EXPECT_FALSE(CartTree::Deserialize(reader).ok()) << "count " << count;
+  }
+}
+
+// Node scores and importances are bit-cast floats: NaN or an infinity must be
+// rejected at decode, not carried into every later score.
+TEST(RandomForest, DeserializeRejectsNonFiniteScoresAndImportances) {
+  const Dataset data = MakeLearnableDataset(200, 8, 31);
+  RandomForestConfig config;
+  config.num_trees = 2;
+  RandomForest forest(config);
+  forest.Train(data);
+  const std::vector<uint8_t> valid = forest.Serialize();
+  ASSERT_TRUE(RandomForest::Deserialize(valid).ok());
+
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (double bad : kBad) {
+    // The first node's score: after the 12-byte header, the node count and
+    // the node's feature and two child indices.
+    std::vector<uint8_t> score = valid;
+    SetU32(score, 12 + 4 + 12, std::bit_cast<uint32_t>(static_cast<float>(bad)));
+    EXPECT_FALSE(RandomForest::Deserialize(score).ok()) << "score " << bad;
+
+    // The last importance entry.
+    std::vector<uint8_t> importance = valid;
+    const uint64_t bits = std::bit_cast<uint64_t>(bad);
+    std::memcpy(importance.data() + importance.size() - 8, &bits, 8);
+    EXPECT_FALSE(RandomForest::Deserialize(importance).ok()) << "importance " << bad;
+  }
 }
 
 TEST(CrossValidation, StratifiedFoldsBalanceClasses) {

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1013,6 +1014,225 @@ TEST(VettingService, ClassSloSetsDefaultDeadlineAndBoundsLinger) {
   EXPECT_EQ(service.stats().expired_by_class[static_cast<size_t>(
                 Priority::kInteractive)],
             1u);
+}
+
+// The registry side of the ledger: every resolution counter, its
+// {class=...} siblings where it has them, and the e2e histogram counts.
+std::map<std::string, uint64_t> LedgerSeries() {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
+  std::map<std::string, uint64_t> series;
+  for (const char* base :
+       {obs::names::kServeAcceptedTotal, obs::names::kServeRejectedTotal,
+        obs::names::kServeCompletedTotal, obs::names::kServeDeadlineExpiredTotal,
+        obs::names::kServeParseErrorsTotal,
+        obs::names::kServeFarmRejectedUnhealthyTotal, obs::names::kServeShedTotal,
+        obs::names::kServeCacheHitsTotal}) {
+    series[base] = metrics.counter(base).value();
+  }
+  series[obs::names::kServeE2eLatencyMs] =
+      metrics.histogram(obs::names::kServeE2eLatencyMs).count();
+  for (size_t c = 0; c < kNumPriorityClasses; ++c) {
+    const Priority priority = static_cast<Priority>(c);
+    for (const char* base :
+         {obs::names::kServeAcceptedTotal, obs::names::kServeCompletedTotal,
+          obs::names::kServeDeadlineExpiredTotal, obs::names::kServeShedTotal}) {
+      series[ClassSeriesName(base, priority)] =
+          metrics.counter(ClassSeriesName(base, priority)).value();
+    }
+    const std::string e2e = ClassSeriesName(obs::names::kServeE2eLatencyMs, priority);
+    series[e2e] = metrics.histogram(e2e).count();
+  }
+  return series;
+}
+
+// Every way a submission leaves the service is driven deterministically, one
+// service per setup: the admission fast path, shed, triage expiry, an
+// in-batch follower, a parse error, a pool reject and an admission refusal.
+// Each delivered status must match ServiceStats per status and class, the
+// registry's class series must sum to their unlabeled totals, e2e must be
+// observed once per acceptance, and every sealed trace must partition its
+// total and end in `resolve` (a refusal: sealed `rejected`, no breakdown).
+TEST(VettingService, EveryExitPathResolvesOnceThroughTheLedger) {
+  obs::TraceCollector& collector = obs::TraceCollector::Default();
+  collector.Clear();
+  const std::map<std::string, uint64_t> before = LedgerSeries();
+
+  ResolutionMatrix delivered{};
+  ServiceStats sum;
+  auto deliver = [&delivered](Priority priority,
+                              std::future<VettingResult>& future) {
+    EXPECT_EQ(future.wait_for(std::chrono::seconds(60)),
+              std::future_status::ready);
+    const VettingResult result = future.get();
+    ++delivered[static_cast<size_t>(result.status)][static_cast<size_t>(priority)];
+    return result;
+  };
+  auto drain = [&sum](VettingService& service) {
+    service.Shutdown();
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.accepted, stats.resolved());
+    EXPECT_EQ(stats.submitted, stats.accepted + stats.rejected);
+    sum.accepted += stats.accepted;
+    sum.rejected += stats.rejected;
+    sum.cache_hits += stats.cache_hits;
+    for (size_t s = 0; s < kNumVetStatuses; ++s) {
+      for (size_t c = 0; c < kNumPriorityClasses; ++c) {
+        sum.resolutions[s][c] += stats.resolutions[s][c];
+      }
+    }
+  };
+
+  {
+    // Triage expiry, an in-batch follower and a parse error in one batch of
+    // four, queued while paused; then the admission fast path.
+    ServiceConfig config = SmallConfig();
+    config.start_paused = true;
+    config.trace_sample_rate = 1.0;
+    VettingService service(TestUniverse(), config, TrainedChecker());
+    const std::vector<uint8_t> apk = MakeApkBytes(8201);
+    auto expired = service.Submit(MakeSubmission(
+        MakeApkBytes(8202), Priority::kInteractive, std::chrono::milliseconds(1)));
+    auto leader = service.Submit(MakeSubmission(apk, Priority::kRescan));
+    auto follower = service.Submit(MakeSubmission(apk, Priority::kBulk));
+    auto garbage = service.Submit(MakeSubmission({'j', 'u', 'n', 'k'}));
+    ASSERT_TRUE(expired.ok() && leader.ok() && follower.ok() && garbage.ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    service.Start();
+    EXPECT_EQ(deliver(Priority::kInteractive, *expired).status,
+              VetStatus::kDeadlineExpired);
+    const VettingResult led = deliver(Priority::kRescan, *leader);
+    const VettingResult followed = deliver(Priority::kBulk, *follower);
+    EXPECT_EQ(led.status, VetStatus::kOk);
+    EXPECT_EQ(followed.status, VetStatus::kOk);
+    EXPECT_NE(led.from_cache, followed.from_cache);  // One emulation, one copy.
+    EXPECT_EQ(deliver(Priority::kBulk, *garbage).status, VetStatus::kParseError);
+
+    const uint64_t pushes = service.shard_pushes();
+    auto fast = service.Submit(MakeSubmission(apk, Priority::kInteractive));
+    ASSERT_TRUE(fast.ok());
+    const VettingResult fast_result = deliver(Priority::kInteractive, *fast);
+    EXPECT_EQ(fast_result.status, VetStatus::kOk);
+    EXPECT_TRUE(fast_result.from_cache);
+    EXPECT_EQ(service.shard_pushes(), pushes);
+    drain(service);
+  }
+  {
+    // Shed: bulk at the pressure watermark of a paused single-shard service.
+    ServiceConfig config = SmallConfig();
+    config.num_shards = 1;
+    config.shard_capacity = 8;
+    config.start_paused = true;
+    config.overload.shed = true;
+    config.overload.queue_pressure = 0.25;  // Depth 2.
+    config.overload.queue_critical = 0.50;
+    config.overload.queue_release = 0.10;
+    config.trace_sample_rate = 1.0;
+    VettingService service(TestUniverse(), config, TrainedChecker());
+    std::vector<std::future<VettingResult>> futures;
+    for (uint64_t seed = 8211; seed <= 8213; ++seed) {
+      auto accepted = service.Submit(MakeSubmission(MakeApkBytes(seed)));
+      ASSERT_TRUE(accepted.ok());
+      futures.push_back(std::move(*accepted));
+    }
+    EXPECT_EQ(deliver(Priority::kBulk, futures[2]).status,
+              VetStatus::kShedOverload);
+    service.Start();
+    EXPECT_EQ(deliver(Priority::kBulk, futures[0]).status, VetStatus::kOk);
+    EXPECT_EQ(deliver(Priority::kBulk, futures[1]).status, VetStatus::kOk);
+    drain(service);
+  }
+  {
+    // A pool reject (the only farm faults its first batch) and an admission
+    // refusal (a full one-slot lane).
+    ServiceConfig config = SmallConfig();
+    config.num_shards = 1;
+    config.shard_capacity = 1;
+    config.start_paused = true;
+    config.scheduler.batch_size = 1;
+    config.pool.num_farms = 1;
+    emu::FaultWindow window;
+    window.farm_id = 0;
+    window.from_batch = 1;
+    window.to_batch = 1;
+    config.pool.fault_plan.windows.push_back(window);
+    config.trace_sample_rate = 1.0;
+    VettingService service(TestUniverse(), config, TrainedChecker());
+    auto rejected = service.Submit(MakeSubmission(MakeApkBytes(8221)));
+    ASSERT_TRUE(rejected.ok());
+    auto refused = service.Submit(MakeSubmission(MakeApkBytes(8222)));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error(), "admission queue full");
+    service.Start();
+    EXPECT_EQ(deliver(Priority::kBulk, *rejected).status,
+              VetStatus::kRejectedUnhealthy);
+    drain(service);
+  }
+
+  // Every path was taken, and ServiceStats saw exactly what was delivered.
+  EXPECT_EQ(sum.resolutions, delivered);
+  const auto count = [&sum](VetStatus status) {
+    uint64_t n = 0;
+    for (uint64_t v : sum.resolutions[static_cast<size_t>(status)]) n += v;
+    return n;
+  };
+  EXPECT_EQ(count(VetStatus::kOk), 5u);
+  EXPECT_EQ(count(VetStatus::kDeadlineExpired), 1u);
+  EXPECT_EQ(count(VetStatus::kParseError), 1u);
+  EXPECT_EQ(count(VetStatus::kRejectedUnhealthy), 1u);
+  EXPECT_EQ(count(VetStatus::kShedOverload), 1u);
+  EXPECT_EQ(sum.accepted, sum.resolved());
+  EXPECT_EQ(sum.accepted, 9u);
+  EXPECT_EQ(sum.rejected, 1u);
+  EXPECT_EQ(sum.cache_hits, 2u);  // The follower and the fast path.
+
+  // Registry side: each class family sums to its unlabeled delta, the
+  // statuses to the acceptances, and e2e is observed once per acceptance.
+  const std::map<std::string, uint64_t> after = LedgerSeries();
+  auto delta = [&](const std::string& name) { return after.at(name) - before.at(name); };
+  for (const char* base :
+       {obs::names::kServeAcceptedTotal, obs::names::kServeCompletedTotal,
+        obs::names::kServeDeadlineExpiredTotal, obs::names::kServeShedTotal,
+        obs::names::kServeE2eLatencyMs}) {
+    uint64_t by_class = 0;
+    for (size_t c = 0; c < kNumPriorityClasses; ++c) {
+      by_class += delta(ClassSeriesName(base, static_cast<Priority>(c)));
+    }
+    EXPECT_EQ(by_class, delta(base)) << base;
+  }
+  EXPECT_EQ(delta(obs::names::kServeAcceptedTotal), sum.accepted);
+  EXPECT_EQ(delta(obs::names::kServeRejectedTotal), sum.rejected);
+  EXPECT_EQ(delta(obs::names::kServeCacheHitsTotal), sum.cache_hits);
+  EXPECT_EQ(delta(obs::names::kServeE2eLatencyMs), sum.accepted);
+  EXPECT_EQ(delta(obs::names::kServeCompletedTotal) +
+                delta(obs::names::kServeDeadlineExpiredTotal) +
+                delta(obs::names::kServeParseErrorsTotal) +
+                delta(obs::names::kServeFarmRejectedUnhealthyTotal) +
+                delta(obs::names::kServeShedTotal),
+            sum.accepted);
+
+  // Trace side: one sealed trace per submission.
+  const std::vector<obs::Trace> traces = collector.Completed();
+  ASSERT_EQ(traces.size(), sum.accepted + sum.rejected);
+  std::map<std::string, size_t> by_status;
+  for (const obs::Trace& trace : traces) {
+    ++by_status[trace.status];
+    if (trace.status == "rejected") {
+      EXPECT_TRUE(trace.breakdown.empty());
+      continue;
+    }
+    ASSERT_FALSE(trace.breakdown.empty()) << trace.status;
+    EXPECT_EQ(trace.breakdown.back().stage, obs::stages::kResolve) << trace.status;
+    EXPECT_TRUE(trace.HasStage(obs::stages::kResolve)) << trace.status;
+    EXPECT_NEAR(trace.BreakdownSumMs(), trace.total_ms,
+                0.01 * trace.total_ms + 0.05)
+        << trace.status;
+  }
+  EXPECT_EQ(by_status["ok"], 5u);
+  EXPECT_EQ(by_status["deadline_expired"], 1u);
+  EXPECT_EQ(by_status["parse_error"], 1u);
+  EXPECT_EQ(by_status["rejected_unhealthy"], 1u);
+  EXPECT_EQ(by_status["shed_overload"], 1u);
+  EXPECT_EQ(by_status["rejected"], 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -100,6 +101,31 @@ TEST(Wal, RecordRoundTripsThroughScan) {
   EXPECT_EQ(scan.records[0].flags, 3u);
   EXPECT_TRUE(scan.records[0].malicious);
   EXPECT_EQ(scan.records[0].score, 0.875);
+}
+
+// A score is a probability. A record whose CRC is valid but whose score is
+// NaN, infinite or outside [0, 1] must stop the scan like any undecodable
+// frame, so it never replays into the verdict cache.
+TEST(Wal, ScanRejectsScoresOutsideUnitIntervalBehindAValidCrc) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -0.5, 1.5}) {
+    std::vector<uint8_t> bytes = EncodeRecord(MakeRecord("good", 1, false, 0.25));
+    const size_t good_bytes = bytes.size();
+    const std::vector<uint8_t> hostile = EncodeRecord(MakeRecord("bad", 1, true, bad));
+    bytes.insert(bytes.end(), hostile.begin(), hostile.end());
+
+    const SegmentScan scan = ScanSegment(bytes);
+    EXPECT_FALSE(scan.clean) << bad;
+    EXPECT_EQ(scan.valid_bytes, good_bytes) << bad;
+    ASSERT_EQ(scan.records.size(), 1u) << bad;
+    EXPECT_EQ(scan.records[0].digest, "good");
+  }
+  for (double edge : {0.0, 1.0}) {
+    const SegmentScan scan = ScanSegment(EncodeRecord(MakeRecord("edge", 1, false, edge)));
+    EXPECT_TRUE(scan.clean) << edge;
+    ASSERT_EQ(scan.records.size(), 1u);
+    EXPECT_EQ(scan.records[0].score, edge);
+  }
 }
 
 TEST(Wal, ScanStopsAtPartialTrailingFrame) {

@@ -329,30 +329,6 @@ TEST(ThreadPool, SubmitAndWait) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ThreadPool, TrySubmitRejectsAboveMaxPending) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  // Occupy the single worker so further tasks stay pending.
-  ASSERT_TRUE(pool.TrySubmit(
-      [&] {
-        while (!release.load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      },
-      /*max_pending=*/4));
-  int accepted = 0;
-  while (pool.TrySubmit([] {}, /*max_pending=*/4)) {
-    ++accepted;
-    ASSERT_LT(accepted, 100);  // Must hit the cap, not loop forever.
-  }
-  EXPECT_EQ(accepted, 3);  // Blocker + 3 queued == max_pending of 4.
-  release.store(true);
-  pool.Wait();
-  // Capacity freed up again after the drain.
-  EXPECT_TRUE(pool.TrySubmit([] {}, /*max_pending=*/4));
-  pool.Wait();
-}
-
 TEST(Sha1, KnownVectors) {
   const auto hex = [](const char* s) {
     return Sha1Hex(std::span<const uint8_t>(
@@ -403,20 +379,15 @@ TEST(BoundedQueue, CloseDrainsRemainingThenReturnsNullopt) {
   queue.Close();
   EXPECT_TRUE(queue.closed());
   EXPECT_FALSE(queue.TryPush(9));  // No new work after close.
-  EXPECT_EQ(queue.Pop(), 7);       // Existing work still drains.
-  EXPECT_EQ(queue.Pop(), 8);
-  EXPECT_EQ(queue.Pop(), std::nullopt);
-  EXPECT_EQ(queue.PopFor(std::chrono::milliseconds(1)), std::nullopt);
+  EXPECT_EQ(queue.TryPop(), 7);    // Existing work still drains.
+  EXPECT_EQ(queue.TryPop(), 8);
+  EXPECT_EQ(queue.TryPop(), std::nullopt);
+  EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(BoundedQueue, PopForTimesOutOnEmptyQueue) {
-  BoundedQueue<int> queue(2);
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(queue.PopFor(std::chrono::milliseconds(10)), std::nullopt);
-  EXPECT_GE(std::chrono::steady_clock::now() - start,
-            std::chrono::milliseconds(5));
-}
-
+// Concurrent producers and consumers on the non-blocking calls, as the shard
+// lanes see them: a full queue rejects (the producer retries), an empty one
+// returns nullopt, and every item pushed is popped exactly once.
 TEST(BoundedQueue, MpmcStressAccountsForEveryItem) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
@@ -424,13 +395,23 @@ TEST(BoundedQueue, MpmcStressAccountsForEveryItem) {
   BoundedQueue<int> queue(16);
   std::atomic<long> sum{0};
   std::atomic<int> popped{0};
+  std::atomic<int> producers_done{0};
 
   std::vector<std::thread> consumers;
   for (int c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&] {
-      while (auto item = queue.Pop()) {
-        sum.fetch_add(*item);
-        popped.fetch_add(1);
+      for (;;) {
+        // Read the done count BEFORE the pop: once every producer is done, an
+        // empty pop means nothing can arrive any more.
+        const bool all_pushed = producers_done.load() == kProducers;
+        if (auto item = queue.TryPop()) {
+          sum.fetch_add(*item);
+          popped.fetch_add(1);
+        } else if (all_pushed) {
+          return;
+        } else {
+          std::this_thread::yield();
+        }
       }
     });
   }
@@ -438,20 +419,24 @@ TEST(BoundedQueue, MpmcStressAccountsForEveryItem) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        queue.Push(p * kPerProducer + i);  // Blocking push: never drops.
+        while (!queue.TryPush(p * kPerProducer + i)) {
+          std::this_thread::yield();  // Full: backpressure, retry.
+        }
       }
+      producers_done.fetch_add(1);
     });
   }
   for (auto& t : producers) {
     t.join();
   }
-  queue.Close();
   for (auto& t : consumers) {
     t.join();
   }
+  queue.Close();
   constexpr long kTotal = kProducers * kPerProducer;
   EXPECT_EQ(popped.load(), kTotal);
   EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
+  EXPECT_EQ(queue.TryPop(), std::nullopt);
 }
 
 }  // namespace

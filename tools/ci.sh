@@ -15,7 +15,8 @@
 # uploads_accepted == completed + aborted asserted over the metrics dump),
 # then a steady-state thread-count gate (the unified runtime keeps process
 # threads O(cores): the peak thread gauge must stay flat as concurrent upload
-# clients quadruple),
+# clients quadruple) — every metrics dump along the way also passes the
+# resolution-ledger check (check_ledger below),
 # then — each unless skipped — rebuild the concurrency-sensitive tests under
 # AddressSanitizer, rebuild everything under UndefinedBehaviorSanitizer (with
 # float->int cast checks) and rerun the tier-1 ctest there, and run the
@@ -34,6 +35,49 @@ for arg in "$@"; do
   [ "$arg" = "--no-ubsan" ] && UBSAN=0
   [ "$arg" = "--no-tsan" ] && TSAN=0
 done
+
+# The resolution ledger, read from the registry side of one metrics dump: the
+# service accepted something, accepted equals the sum of the resolution
+# counters, every {class=...} family (counters and histogram counts) sums to
+# its unlabeled total, and the e2e latency histogram holds exactly one
+# observation per accepted submission.
+check_ledger() {
+  python3 - "$1" <<'PYEOF'
+import json, sys
+path = sys.argv[1]
+metrics = json.load(open(path))
+counters, histograms = metrics["counters"], metrics["histograms"]
+def count(name):
+    return int(counters.get(name, 0))
+accepted = count("apichecker_serve_accepted_total")
+resolved = sum(count("apichecker_serve_%s_total" % status)
+               for status in ["completed", "deadline_expired", "parse_errors",
+                              "farm_rejected_unhealthy", "shed"])
+if accepted == 0:
+    raise SystemExit("%s: the service accepted nothing" % path)
+if accepted != resolved:
+    raise SystemExit("%s: lost acknowledged verdicts: accepted %d != resolved %d"
+                     % (path, accepted, resolved))
+values = dict((name, int(value)) for name, value in counters.items())
+values.update((name, int(hist["count"])) for name, hist in histograms.items())
+families = {}
+for name, value in values.items():
+    base, labeled, _ = name.partition('{class="')
+    if labeled:
+        families[base] = families.get(base, 0) + value
+for base, by_class in sorted(families.items()):
+    if by_class != values.get(base, 0):
+        raise SystemExit("%s: %s{class=...} sums to %d, its total is %d"
+                         % (path, base, by_class, values.get(base, 0)))
+e2e = values.get("apichecker_serve_e2e_latency_ms", 0)
+if e2e != accepted:
+    raise SystemExit("%s: %d e2e latency observations for %d accepted"
+                     % (path, e2e, accepted))
+print("ledger %s: %d accepted == %d resolved == %d e2e observations; "
+      "%d class families sum to their totals"
+      % (path.rsplit("/", 1)[-1], accepted, resolved, e2e, len(families)))
+PYEOF
+}
 
 echo "=== tier-1: configure + build ==="
 cmake -B "$ROOT/build" -S "$ROOT" >/dev/null
@@ -56,6 +100,7 @@ for series in apichecker_serve_submissions_total apichecker_serve_batches_total 
   grep -q "$series" "$SERVE_TMP/metrics.json" || {
     echo "missing metric series: $series"; exit 1; }
 done
+check_ledger "$SERVE_TMP/metrics.json"
 echo "serve smoke OK (metrics dump carries the apichecker_serve_* series)"
 
 echo "=== stress: fault-injected multi-farm serve smoke ==="
@@ -74,6 +119,7 @@ grep -q '"apichecker_serve_farm_retries_total": [1-9]' "$SERVE_TMP/metrics-fault
   echo "farm faults were not retried"; exit 1; }
 grep -q '"apichecker_emu_farm_injected_faults_total": [1-9]' "$SERVE_TMP/metrics-faulted.json" || {
   echo "missing emu-level injected-fault accounting"; exit 1; }
+check_ledger "$SERVE_TMP/metrics-faulted.json"
 echo "fault smoke OK (faults injected, failover retries observed, zero lost)"
 
 echo "=== fabric: cross-process farm smoke (3 workers, one SIGKILLed mid-run) ==="
@@ -89,22 +135,12 @@ grep -q "invariant accepted == resolved: OK" "$SERVE_TMP/fabric-serve.out" || {
   echo "fabric serve lost submissions"; cat "$SERVE_TMP/fabric-serve.out"; exit 1; }
 grep -q "SIGKILLed worker" "$SERVE_TMP/fabric-serve.out" || {
   echo "fabric smoke never killed a worker"; exit 1; }
+check_ledger "$SERVE_TMP/metrics-fabric.json"
 python3 - "$SERVE_TMP/metrics-fabric.json" <<'PYEOF'
 import json, sys
 counters = json.load(open(sys.argv[1]))["counters"]
 def count(name):
     return int(counters.get(name, 0))
-accepted = count("apichecker_serve_accepted_total")
-resolved = (count("apichecker_serve_completed_total")
-            + count("apichecker_serve_deadline_expired_total")
-            + count("apichecker_serve_parse_errors_total")
-            + count("apichecker_serve_farm_rejected_unhealthy_total")
-            + count("apichecker_serve_shed_total"))
-if accepted == 0:
-    raise SystemExit("fabric smoke accepted nothing")
-if accepted != resolved:
-    raise SystemExit("lost acknowledged verdicts: accepted %d != resolved %d"
-                     % (accepted, resolved))
 conn_opens = sum(v for k, v in counters.items()
                  if k.startswith("apichecker_serve_farm_breaker_open_total{")
                  and 'reason="connection_loss"' in k)
@@ -121,9 +157,9 @@ for series in ["apichecker_fabric_handshakes_total",
                "apichecker_fabric_disconnects_total"]:
     if count(series) <= 0:
         raise SystemExit("fabric metric %s missing or zero" % series)
-print("fabric: %d accepted == %d resolved; breaker opens: %d connection-loss, "
-      "%d fault; %d handshakes, %d heartbeats, %d disconnects"
-      % (accepted, resolved, conn_opens, fault_opens,
+print("fabric: breaker opens: %d connection-loss, %d fault; %d handshakes, "
+      "%d heartbeats, %d disconnects"
+      % (conn_opens, fault_opens,
          count("apichecker_fabric_handshakes_total"),
          count("apichecker_fabric_heartbeats_total"),
          count("apichecker_fabric_disconnects_total")))
@@ -145,6 +181,7 @@ grep -q '"apichecker_store_recovered_records_total": [1-9]' "$SERVE_TMP/metrics-
   echo "restart recovered no records from the verdict store"; exit 1; }
 grep -q '"apichecker_store_warm_start_hits_total": [1-9]' "$SERVE_TMP/metrics-restart.json" || {
   echo "warm-started cache produced no hits after restart"; exit 1; }
+check_ledger "$SERVE_TMP/metrics-restart.json"
 echo "store restart smoke OK (records recovered, warm-start hits observed)"
 
 echo "=== ingest: admission-latency smoke (blob handles keep Submit flat) ==="
@@ -182,6 +219,7 @@ if large > bound:
     raise SystemExit("large-APK admission p99 %.4f ms exceeds 2x small (%.4f ms): "
                      "Submit() is scaling with APK size" % (large, bound))
 PYEOF
+check_ledger "$SERVE_TMP/metrics-ingest.json"
 echo "ingest smoke OK (large-APK admission p99 within 2x of small)"
 
 echo "=== storm: overload control & QoS smoke (shed + SLO + spill) ==="
@@ -209,15 +247,6 @@ if shed_bulk == 0:
 if shed_interactive != 0:
     raise SystemExit("storm smoke: %d interactive submissions were shed"
                      % shed_interactive)
-accepted = count("apichecker_serve_accepted_total")
-resolved = (count("apichecker_serve_completed_total")
-            + count("apichecker_serve_deadline_expired_total")
-            + count("apichecker_serve_parse_errors_total")
-            + count("apichecker_serve_farm_rejected_unhealthy_total")
-            + count("apichecker_serve_shed_total"))
-if accepted == 0 or accepted != resolved:
-    raise SystemExit("storm smoke lost verdicts: accepted %d != resolved %d"
-                     % (accepted, resolved))
 interactive = metrics["histograms"].get(
     'apichecker_serve_e2e_latency_ms{class="interactive"}')
 if not interactive or interactive["count"] == 0:
@@ -231,12 +260,13 @@ if spilled == 0:
     raise SystemExit("storm smoke: no blob spilled past the 16 KB threshold")
 if count("apichecker_ingest_spill_failures_total") != 0:
     raise SystemExit("storm smoke: spill write failures on a healthy disk")
-print("storm: %d accepted == %d resolved; shed bulk=%d rescan=%d "
-      "interactive=%d; interactive p99 %.1f ms; %d blobs spilled"
-      % (accepted, resolved, shed_bulk,
+print("storm: shed bulk=%d rescan=%d interactive=%d; interactive p99 %.1f ms; "
+      "%d blobs spilled"
+      % (shed_bulk,
          count('apichecker_serve_shed_total{class="rescan"}'),
          shed_interactive, p99, spilled))
 PYEOF
+check_ledger "$SERVE_TMP/metrics-storm.json"
 echo "storm smoke OK (bulk shed, interactive protected, SLO held, blobs spilled)"
 
 echo "=== trace: end-to-end tracing smoke ==="
@@ -290,6 +320,7 @@ for name in ["stage_submit", "stage_queue_wait", "stage_batch_linger",
 print("stage histograms: all 7 stages + admission/e2e/traced e2e observed, "
       "quantiles finite")
 PYEOF
+check_ledger "$SERVE_TMP/metrics-trace.json"
 # Overwrite protection: a rerun against the existing trace file must refuse
 # without --force and succeed with it.
 if "$ROOT/build/tools/apichecker" serve --apps 10 --apis 8000 \
@@ -392,6 +423,7 @@ print("gateway: %d accepted == %d completed + %d aborted; %d slow-loris "
          count("apichecker_gateway_connections_total"),
          count("apichecker_gateway_bytes_received_total")))
 PYEOF
+check_ledger "$SERVE_TMP/metrics-gateway.json"
 echo "gateway smoke OK (slow-loris evicted, mid-upload kill absorbed, drain invariant held)"
 
 echo "=== rt: steady-state thread-count gate (threads O(cores), not O(connections)) ==="
@@ -450,6 +482,8 @@ if many > few + 2:
                      "clients vs %d at 2 (allowance +2)" % (many, few))
 print("thread gate: peak %d threads at 2 clients, %d at 8 — flat" % (few, many))
 PYEOF
+check_ledger "$SERVE_TMP/metrics-threads-2.json"
+check_ledger "$SERVE_TMP/metrics-threads-8.json"
 echo "thread gate OK (process thread peak flat as upload clients quadruple)"
 
 if [ "$ASAN" = "1" ]; then

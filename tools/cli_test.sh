@@ -27,6 +27,13 @@ grep -q 'apichecker_emu_app_minutes' "$DIR/metrics.json"
 grep -q 'apichecker_core_classify_latency_us' "$DIR/metrics.json"
 grep -q 'apichecker_core_verdict_malicious_total' "$DIR/metrics.json"
 grep -q 'apichecker_market_outcome_published_total' "$DIR/metrics.json"
+# Vetting a file is one market review outcome: published plus rejected by
+# APICHECKER adds up to the six verdicts.
+outcome() {
+  grep -o "\"apichecker_market_outcome_$2_total\": [0-9]*" "$1" | sed 's/.*: //'
+}
+[ "$(( $(outcome "$DIR/metrics.json" published) + \
+       $(outcome "$DIR/metrics.json" rejected_apichecker) ))" = "6" ]
 
 # Online serving: replay a small trace through the vetting service. The run
 # must keep the no-lost-submissions invariant and dump the serve series.
@@ -36,6 +43,10 @@ grep -q "invariant accepted == resolved: OK" "$DIR/serve.txt"
 grep -q "hot-swapped model mid-trace" "$DIR/serve.txt"
 grep -q 'apichecker_serve_submissions_total' "$DIR/serve_metrics.json"
 grep -q 'apichecker_serve_e2e_latency_ms' "$DIR/serve_metrics.json"
+# Serving a verdict is not the market publishing the app: serve records no
+# review outcome.
+[ "$(outcome "$DIR/serve_metrics.json" published)" = "0" ]
+[ "$(outcome "$DIR/serve_metrics.json" rejected_apichecker)" = "0" ]
 
 # Vet must fail cleanly on garbage input.
 echo "not an apk" > "$DIR/garbage.apk"

@@ -6,6 +6,7 @@
 // Flags: --apps N (default 6000), --seed S, --csv PREFIX (write
 // PREFIX_ranking.csv and PREFIX_key_apis.csv).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>

@@ -17,7 +17,6 @@
 #include "emu/engine.h"
 #include "ml/dataset.h"
 #include "synth/corpus.h"
-#include "util/thread_pool.h"
 
 namespace apichecker::core {
 
@@ -52,7 +51,6 @@ struct StudyDataset {
 struct StudyConfig {
   size_t num_apps = 20'000;
   emu::EngineConfig engine;  // Defaults: Google emulator, enhanced, 5K events.
-  size_t batch_size = 512;   // Pipeline granularity for parallel emulation.
 };
 
 // Builds StudyRecords from (apk, report) pairs: resolves manifest strings
@@ -75,7 +73,7 @@ class StudyRecorder {
 // materialization -> parsing -> emulation (track-all) and collects records.
 // The generator advances; calling again continues the submission stream.
 StudyDataset RunStudy(const android::ApiUniverse& universe, synth::CorpusGenerator& generator,
-                      const StudyConfig& config, util::ThreadPool* pool = nullptr);
+                      const StudyConfig& config);
 
 // Builds an ML dataset by projecting study records onto a schema. Runtime
 // intents are included only when their carrier API is in the schema's

@@ -180,7 +180,8 @@ EmulationReport DynamicAnalysisEngine::Run(const apk::ApkFile& apk,
     if (incompatible && config_.enable_fallback) {
       report.fell_back = true;
       minutes = 0.4 * minutes + (base_minutes + hook_minutes);
-      APICHECKER_SLOG(Warning, "emu.fallback")
+      // Per-app detail only: kEmuFallbacksTotal below counts every one.
+      APICHECKER_SLOG(Debug, "emu.fallback")
           .With("package", apk.manifest.package_name)
           .With("has_native_code", dex.has_native_code())
           .With("minutes", minutes);
@@ -195,7 +196,8 @@ EmulationReport DynamicAnalysisEngine::Run(const apk::ApkFile& apk,
     minutes += minutes * config_.crash_retry_overhead;
     if (time_rng.Bernoulli(crash_p)) {
       report.crashed = true;  // Second failure: give up with partial data.
-      APICHECKER_SLOG(Warning, "emu.crash")
+      // Per-app detail only: kEmuCrashesTotal below counts every one.
+      APICHECKER_SLOG(Debug, "emu.crash")
           .With("package", apk.manifest.package_name)
           .With("retried", true)
           .With("minutes", minutes);

@@ -11,8 +11,12 @@
 
 namespace apichecker::emu {
 
-DeviceFarm::DeviceFarm(const android::ApiUniverse& universe, FarmConfig config)
-    : config_(config), engine_(universe, config.engine), pool_(config.worker_threads),
+DeviceFarm::DeviceFarm(const android::ApiUniverse& universe, FarmConfig config,
+                       rt::Runtime* runtime)
+    : config_(config),
+      engine_(universe, config.engine),
+      owned_runtime_(runtime == nullptr ? std::make_unique<rt::Runtime>() : nullptr),
+      rt_(runtime == nullptr ? owned_runtime_.get() : runtime),
       fault_rng_(util::SplitMix64(config.fault_plan.seed ^
                                   (0x9e3779b97f4a7c15ull * (config.farm_id + 1)))) {}
 
@@ -59,7 +63,7 @@ BatchResult DeviceFarm::RunBatch(std::span<const apk::ApkFile> apks,
   }
 
   result.reports.resize(apks.size());
-  pool_.ParallelFor(0, apks.size(), [&](size_t i) {
+  rt_->ParallelFor(apks.size(), [&](size_t i) {
     result.reports[i] = engine_.Run(apks[i], tracked);
   });
 

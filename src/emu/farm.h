@@ -1,9 +1,11 @@
 // Device farm: N concurrent emulators on one x86 server (paper §4.2/§5.1 run
 // 16 emulators on 16 cores, 4 cores reserved for scheduling/monitoring/
-// logging). The farm executes a batch of APKs, parallelized over a real
-// thread pool, and additionally reports the *simulated* wall-clock makespan
-// (greedy first-free-emulator scheduling of per-app emulation minutes) —
-// that is the quantity production throughput claims are made about.
+// logging). The farm executes a batch of APKs as a ParallelFor on an
+// rt::Runtime (the serving process's one executor, or a private one when the
+// farm runs standalone), and additionally reports the *simulated* wall-clock
+// makespan (greedy first-free-emulator scheduling of per-app emulation
+// minutes) — that is the quantity production throughput claims are made
+// about.
 
 #ifndef APICHECKER_EMU_FARM_H_
 #define APICHECKER_EMU_FARM_H_
@@ -11,13 +13,14 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "emu/engine.h"
+#include "rt/runtime.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace apichecker::emu {
 
@@ -55,8 +58,6 @@ struct FaultPlan {
 struct FarmConfig {
   size_t num_emulators = 16;
   EngineConfig engine;
-  // Worker threads for the real computation (0 = hardware concurrency).
-  size_t worker_threads = 0;
   // Identity within a FarmPool; selects this farm's FaultWindows and fault
   // RNG stream.
   uint32_t farm_id = 0;
@@ -83,7 +84,10 @@ struct BatchResult {
 
 class DeviceFarm {
  public:
-  DeviceFarm(const android::ApiUniverse& universe, FarmConfig config);
+  // `runtime` runs RunBatch's per-app fan-out; null makes the farm own a
+  // private runtime (standalone use: the CLI's vet, benches, tests).
+  DeviceFarm(const android::ApiUniverse& universe, FarmConfig config,
+             rt::Runtime* runtime = nullptr);
 
   BatchResult RunBatch(std::span<const apk::ApkFile> apks, const TrackedApiSet& tracked);
 
@@ -98,7 +102,8 @@ class DeviceFarm {
 
   FarmConfig config_;
   DynamicAnalysisEngine engine_;
-  util::ThreadPool pool_;
+  std::unique_ptr<rt::Runtime> owned_runtime_;  // Only when none was passed.
+  rt::Runtime* rt_;
   std::atomic<uint64_t> batch_ordinal_{0};
   std::mutex fault_mu_;  // Guards fault_rng_ (RunBatch may be called concurrently).
   util::Rng fault_rng_;

@@ -21,6 +21,7 @@
 #include "apk/apk.h"
 #include "core/checker.h"
 #include "emu/farm.h"
+#include "rt/runtime.h"
 
 namespace apichecker::fabric {
 
@@ -68,11 +69,13 @@ class FarmBackend {
   virtual double last_rpc_ms() const { return 0.0; }
 };
 
-// In-process execution on an owned DeviceFarm.
+// In-process execution on an owned DeviceFarm. `runtime` runs the farm's
+// per-app fan-out (null: the farm owns a private runtime).
 class LocalFarmBackend : public FarmBackend {
  public:
-  LocalFarmBackend(const android::ApiUniverse& universe, emu::FarmConfig config)
-      : farm_(universe, std::move(config)) {}
+  LocalFarmBackend(const android::ApiUniverse& universe, emu::FarmConfig config,
+                   rt::Runtime* runtime = nullptr)
+      : farm_(universe, std::move(config), runtime) {}
 
   emu::BatchResult ExecuteBatch(std::span<const apk::ApkFile> apks, uint32_t model_version,
                                 const core::ApiChecker& checker,

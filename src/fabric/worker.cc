@@ -29,7 +29,11 @@ constexpr size_t kMaxReadPerEvent = 4u << 20;
 FarmWorker::FarmWorker(const android::ApiUniverse& universe, FarmWorkerConfig config)
     : universe_(universe),
       config_(std::move(config)),
-      farm_(universe, config_.farm),
+      runtime_(std::make_unique<rt::Runtime>(rt::RuntimeOptions{
+          config_.rt_threads > 0
+              ? config_.rt_threads
+              : std::max<size_t>(4, std::thread::hardware_concurrency())})),
+      farm_(universe, config_.farm, runtime_.get()),
       universe_checksum_(UniverseChecksum(universe)) {}
 
 FarmWorker::~FarmWorker() { Stop(); }
@@ -41,11 +45,6 @@ util::Result<Endpoint> FarmWorker::Start() {
   if (!listener.ok()) return util::Err(listener.error());
   listener_ = std::move(*listener);
   bound_endpoint_ = listener_.bound_endpoint();
-  size_t workers = config_.rt_threads;
-  if (workers == 0) {
-    workers = std::max<size_t>(4, std::thread::hardware_concurrency());
-  }
-  runtime_ = std::make_unique<rt::Runtime>(rt::RuntimeOptions{workers});
   ArmAccept();
   return bound_endpoint_;
 }
@@ -73,7 +72,7 @@ void FarmWorker::Stop() {
   // The private runtime drains: in-flight handlers run to completion against
   // the severed sockets, unfired watches are cancelled, every rt thread
   // joins. After this, nothing can touch `this` or any Conn again.
-  if (runtime_) runtime_->Shutdown();
+  runtime_->Shutdown();
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.clear();

@@ -4,14 +4,16 @@
 // farm` CLI subcommand as its own process: the independently restartable
 // emulator-farm tier of the paper's deployment.
 //
-// Connection handling is readiness-driven on a small private rt::Runtime:
-// the listener fd and every connection fd carry PostFd watches, each
-// connection's frames are decoded by a streaming FrameAssembler and handled
-// on a per-connection strand (serialized, so the per-connection model state
-// needs no lock), and an idle fleet costs zero parked threads — worker
-// thread count is O(rt_threads), not O(connections). A RunBatch occupies an
-// executor worker for the emulation's duration; rt_threads is floored so
-// heartbeat pings on the second channel never starve behind it.
+// The process has one executor, a private rt::Runtime created with the
+// worker. Connection handling is readiness-driven on it: the listener fd and
+// every connection fd carry PostFd watches, each connection's frames are
+// decoded by a streaming FrameAssembler and handled on a per-connection
+// strand (serialized, so the per-connection model state needs no lock), and
+// an idle fleet costs zero parked threads — thread count is O(rt_threads),
+// not O(connections). The farm's per-app fan-out runs on the same runtime: a
+// RunBatch holds its strand's worker while it claims apps alongside the
+// helpers it posts, and rt_threads is floored so heartbeat pings on the
+// second channel never starve behind it.
 //
 // Error model: any protocol violation on a connection (undecodable frame,
 // bad handshake, unexpected message) disconnects that peer and counts a
@@ -103,10 +105,11 @@ class FarmWorker {
 
   const android::ApiUniverse& universe_;
   FarmWorkerConfig config_;
+  // Declared ahead of farm_, which fans its batches out on it.
+  std::unique_ptr<rt::Runtime> runtime_;
   emu::DeviceFarm farm_;
   uint64_t universe_checksum_ = 0;
 
-  std::unique_ptr<rt::Runtime> runtime_;
   Listener listener_;
   Endpoint bound_endpoint_;
   std::atomic<bool> stopping_{false};

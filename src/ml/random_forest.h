@@ -22,10 +22,6 @@ struct RandomForestConfig {
   // Per-node candidate features; 0 selects sqrt(num_features).
   size_t features_per_split = 0;
   uint64_t seed = 1;
-  // Worker threads for per-tree training (0 = hardware concurrency, 1 =
-  // serial). Trees are seeded up front, so the result is thread-count
-  // independent and bit-identical to a serial run.
-  size_t train_threads = 0;
 };
 
 class RandomForest : public Classifier {

@@ -81,6 +81,9 @@ class Histogram {
   HistogramSnapshot Snapshot() const;
   uint64_t count() const;
   double sum() const;
+  // Upper bucket bounds (+Inf implied): labeled series of a family are
+  // created with their total's, so their buckets sum to the total's.
+  const std::vector<double>& bounds() const { return bounds_; }
   double Quantile(double q) const { return Snapshot().Quantile(q); }
 
   static constexpr size_t kStripes = 8;

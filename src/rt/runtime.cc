@@ -62,6 +62,36 @@ obs::Counter& FdWatches() {
   return c;
 }
 
+// One ParallelFor call, shared by the caller and its helpers. Helpers hold it
+// by shared_ptr: one that starts after the caller returned finds `next` past
+// `n` and leaves without touching `body`, which lives in the caller's frame.
+struct ParallelForState {
+  ParallelForState(size_t n, const std::function<void(size_t)>& body)
+      : n(n), body(&body) {}
+
+  const size_t n;
+  const std::function<void(size_t)>* const body;
+  std::atomic<size_t> next{0};
+  std::mutex mu;
+  size_t done = 0;  // Guarded by mu.
+  std::condition_variable all_done;
+};
+
+// Claims and runs indices until none are left. noexcept: a body exception
+// unwinding the caller would leave helpers running against its dead frame.
+void RunClaimedIndices(ParallelForState& state) noexcept {
+  size_t ran = 0;
+  for (size_t i = state.next.fetch_add(1); i < state.n;
+       i = state.next.fetch_add(1)) {
+    (*state.body)(i);
+    ++ran;
+  }
+  if (ran == 0) return;
+  std::lock_guard<std::mutex> lock(state.mu);
+  state.done += ran;
+  if (state.done == state.n) state.all_done.notify_all();
+}
+
 }  // namespace
 
 void SetCurrentThreadName(const char* name) {
@@ -219,6 +249,20 @@ void Runtime::Post(Task task) {
   }
   QueueDepth().Set(static_cast<double>(pending_.load(std::memory_order_relaxed)));
   wake_cv_.notify_one();
+}
+
+void Runtime::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
+  // From one of our workers the caller is itself a worker, so one fewer
+  // helper keeps the call at one participant per worker.
+  const size_t spare = workers_.size() - (tls_runtime == this ? 1 : 0);
+  const size_t helpers = std::min(n == 0 ? 0 : n - 1, spare);
+  auto state = std::make_shared<ParallelForState>(n, body);
+  for (size_t h = 0; h < helpers; ++h) {
+    Post([state] { RunClaimedIndices(*state); });
+  }
+  RunClaimedIndices(*state);
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->all_done.wait(lock, [&state] { return state->done == state->n; });
 }
 
 bool Runtime::TryRunOne(size_t index) {

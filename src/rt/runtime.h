@@ -1,12 +1,13 @@
-// The unified async runtime: one executor for timers, I/O readiness, and
-// farm dispatch. Before this layer existed every subsystem owned threads
-// ad-hoc — a scheduler loop, per-farm dispatchers, fabric monitor/heartbeat
-// threads, one gateway thread per upload connection — so process thread
-// count grew with connections, not cores. rt::Runtime collapses them into:
+// The unified async runtime: one executor for timers, I/O readiness, farm
+// dispatch and the farm's per-app fan-out. Before this layer existed every
+// subsystem owned threads ad-hoc — a scheduler loop, per-farm dispatchers,
+// fabric monitor/heartbeat threads, one gateway thread per upload
+// connection, a thread pool per device farm — so process thread count grew
+// with connections and farms, not cores. rt::Runtime collapses them into:
 //
 //   - an Executor: N worker threads (~ hardware concurrency, floored so
 //     blocking farm dispatch can never starve short tasks) with per-worker
-//     work-stealing run queues behind Post(),
+//     work-stealing run queues behind Post() and ParallelFor(),
 //   - a TimerWheel: one lazily-started timer thread with coalesced deadlines
 //     and shared-state cancellation tokens behind PostAt()/PostAfter(),
 //   - an IoPoller: one lazily-started epoll thread watching nonblocking (or
@@ -122,9 +123,10 @@ class Strand : public std::enable_shared_from_this<Strand> {
 
 struct RuntimeOptions {
   // Executor worker threads; 0 selects max(2, hardware_concurrency()).
-  // Callers whose tasks block (farm dispatch holds a worker for the whole
-  // emulation or RPC) must size this past their blocking-task count — the
-  // service uses max(requested, num_farms * 2 + 4).
+  // Callers whose tasks hold a worker for long stretches (a remote farm's
+  // dispatch waits out its RPC; a local farm's works through its batch as
+  // a ParallelFor caller) must size this past that count — the service uses
+  // max(hardware_concurrency, num_farms * 2 + 4).
   size_t workers = 0;
 };
 
@@ -138,6 +140,19 @@ class Runtime {
 
   // Runs `task` on some executor worker. No-op after Shutdown().
   void Post(Task task);
+
+  // Runs body(i) for every i in [0, n), each exactly once, and returns only
+  // after all of them have finished. The caller claims indices from the same
+  // shared counter as the helper tasks it posts — at most min(n - 1,
+  // workers() - 1) from one of this runtime's workers, min(n - 1, workers())
+  // from any other thread — so it never waits on a helper that has not
+  // started, and the call completes from inside a task, on a one-worker
+  // runtime, with every worker inside its own call, and after Shutdown()
+  // (Post drops the helpers; the caller runs everything). A helper that
+  // starts after the last index was claimed touches only reference-counted
+  // state, never the caller's frame. `body` must be safe to call
+  // concurrently for distinct i, and must not throw.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   // Runs `task` on the executor at/after `when`. Deadlines that land in the
   // same wheel sweep are coalesced into one wakeup and fire in deadline

@@ -48,7 +48,7 @@ std::string BreakerOpenSeriesName(uint32_t farm_id, const char* reason) {
 
 std::vector<std::unique_ptr<fabric::FarmBackend>> MakeLocalFarmBackends(
     const android::ApiUniverse& universe, const FarmPoolConfig& config,
-    const emu::FarmConfig& farm_template) {
+    const emu::FarmConfig& farm_template, rt::Runtime* runtime) {
   const size_t num_farms = std::max<size_t>(1, config.num_farms);
   std::vector<std::unique_ptr<fabric::FarmBackend>> backends;
   backends.reserve(num_farms);
@@ -57,14 +57,14 @@ std::vector<std::unique_ptr<fabric::FarmBackend>> MakeLocalFarmBackends(
     farm_config.farm_id = static_cast<uint32_t>(i);
     farm_config.fault_plan = config.fault_plan;
     backends.push_back(
-        std::make_unique<fabric::LocalFarmBackend>(universe, std::move(farm_config)));
+        std::make_unique<fabric::LocalFarmBackend>(universe, std::move(farm_config), runtime));
   }
   return backends;
 }
 
 FarmPool::FarmPool(const android::ApiUniverse& universe, FarmPoolConfig config,
                    const emu::FarmConfig& farm_template, rt::Runtime* runtime)
-    : FarmPool(config, MakeLocalFarmBackends(universe, config, farm_template),
+    : FarmPool(config, MakeLocalFarmBackends(universe, config, farm_template, runtime),
                runtime) {}
 
 FarmPool::FarmPool(FarmPoolConfig config,

@@ -104,12 +104,13 @@ std::string FarmSeriesName(const char* base, uint32_t farm_id);
 std::string BreakerOpenSeriesName(uint32_t farm_id, const char* reason);
 
 // The in-process backend set the universe-based FarmPool constructor uses:
-// num_farms LocalFarmBackends with the pool's fault plan attached. Exposed so
-// callers composing mixed fleets (VettingService with fabric endpoints) reuse
-// the same normalization.
+// num_farms LocalFarmBackends with the pool's fault plan attached, each
+// fanning its batches out on `runtime` (null: one private runtime per farm).
+// Exposed so callers composing mixed fleets (VettingService with fabric
+// endpoints) reuse the same normalization.
 std::vector<std::unique_ptr<fabric::FarmBackend>> MakeLocalFarmBackends(
     const android::ApiUniverse& universe, const FarmPoolConfig& config,
-    const emu::FarmConfig& farm_template);
+    const emu::FarmConfig& farm_template, rt::Runtime* runtime);
 
 class FarmPool {
  public:
@@ -134,8 +135,9 @@ class FarmPool {
 
   // `farm_template` is cloned per farm with farm_id = 0..num_farms-1 and the
   // pool's fault plan attached; every farm runs in-process (LocalFarmBackend).
-  // `runtime` hosts the dispatch tasks; null makes the pool own a private
-  // runtime sized num_farms + 1 (standalone/test construction).
+  // `runtime` hosts the dispatch tasks and the farms' per-app fan-out; null
+  // makes the pool own a private runtime sized num_farms + 1 for dispatch and
+  // each farm own one for its fan-out (standalone/test construction).
   FarmPool(const android::ApiUniverse& universe, FarmPoolConfig config,
            const emu::FarmConfig& farm_template, rt::Runtime* runtime = nullptr);
 

@@ -61,8 +61,8 @@ ResolutionLedger::ResolutionLedger()
     const Priority priority = static_cast<Priority>(c);
     accepted_by_class_[c] =
         &Metrics().counter(ClassSeriesName(obs::names::kServeAcceptedTotal, priority));
-    e2e_ms_by_class_[c] =
-        &Metrics().histogram(ClassSeriesName(obs::names::kServeE2eLatencyMs, priority));
+    e2e_ms_by_class_[c] = &Metrics().histogram(
+        ClassSeriesName(obs::names::kServeE2eLatencyMs, priority), e2e_ms_.bounds());
   }
   for (size_t s = 0; s < kNumVetStatuses; ++s) {
     const StatusSeries& series = kStatusSeries[s];

@@ -37,14 +37,15 @@ std::unique_ptr<store::VerdictStore> OpenStoreOrNull(const ServiceConfig& config
   return std::move(*opened);
 }
 
-// Local farms by default; one RemoteFarmClient per fabric endpoint when the
-// service is fronting a multi-process fleet. The remote clients share the
-// service's runtime for their heartbeat timers and reconnect tasks.
+// Local farms by default, fanning their batches out on the service's
+// runtime; one RemoteFarmClient per fabric endpoint when the service is
+// fronting a multi-process fleet. The remote clients share the service's
+// runtime for their heartbeat timers and reconnect tasks.
 std::vector<std::unique_ptr<fabric::FarmBackend>> MakeBackends(
     const android::ApiUniverse& universe, const ServiceConfig& config,
     rt::Runtime* runtime) {
   if (config.fabric_endpoints.empty()) {
-    return MakeLocalFarmBackends(universe, config.pool, config.farm);
+    return MakeLocalFarmBackends(universe, config.pool, config.farm, runtime);
   }
   std::vector<std::unique_ptr<fabric::FarmBackend>> backends;
   backends.reserve(config.fabric_endpoints.size());
@@ -98,7 +99,8 @@ VettingService::VettingService(const android::ApiUniverse& universe,
           obs::names::kServeAdmissionLatencyMs)) {
   for (size_t b = 0; b < admission_ms_by_size_.size(); ++b) {
     admission_ms_by_size_[b] = &obs::MetricsRegistry::Default().histogram(
-        AdmissionSeriesName(obs::names::kServeAdmissionLatencyMs, kApkSizeBuckets[b]));
+        AdmissionSeriesName(obs::names::kServeAdmissionLatencyMs, kApkSizeBuckets[b]),
+        admission_ms_.bounds());
   }
   batch_size_hint_ = ResolveSchedulerConfig(config).batch_size;
   if (config_.trace_sample_rate > 0.0) {

@@ -85,11 +85,12 @@ struct ServiceConfig {
   // Template for every remote client (endpoint and farm_id are assigned per
   // entry above).
   fabric::RemoteClientConfig fabric_client;
-  // Worker threads of the unified runtime (the one executor hosting the
-  // scheduler strand, farm dispatch tasks, fabric heartbeat timers, and
-  // gateway upload state machines). 0 = auto: max(hardware_concurrency,
-  // 2 * farms + 4) — the floor keeps the executor ahead of the worst-case
-  // number of simultaneously-blocking farm dispatches on small machines.
+  // Worker threads of the unified runtime: the one executor hosting the
+  // scheduler strand, farm dispatch tasks, the local farms' per-app fan-out,
+  // fabric heartbeat timers, and gateway upload state machines. 0 = auto:
+  // max(hardware_concurrency, 2 * farms + 4) — the floor keeps the executor
+  // ahead of the worst-case number of farm dispatches holding a worker at
+  // once on small machines.
   size_t rt_threads = 0;
 };
 

@@ -5,7 +5,7 @@
 // (APICHECKER_LOG_FORMAT=json) for log shippers.
 //
 //   APICHECKER_LOG(Info) << "freeform message";            // stream style
-//   APICHECKER_SLOG(Warning, "emu.crash")                  // structured
+//   APICHECKER_SLOG(Debug, "emu.crash")                    // structured
 //       .With("package", pkg).With("minutes", 3.2);
 
 #ifndef APICHECKER_UTIL_LOGGING_H_

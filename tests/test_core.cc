@@ -110,6 +110,61 @@ TEST(Study, RecordsAreComplete) {
   EXPECT_GT(updates, study.size() / 2);
 }
 
+// FNV-1a (64-bit) over every field of every record, sizes first.
+class RecordDigest {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      h_ = (h_ ^ p[i]) * 0x100000001b3ull;
+    }
+  }
+  template <typename T>
+  void Value(T v) { Bytes(&v, sizeof(v)); }
+  template <typename T>
+  void Vector(const std::vector<T>& v) {
+    Value<uint64_t>(v.size());
+    for (const T& x : v) Value(x);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+// The study for a fixed seed, pinned: its loop must stay the serial
+// generate -> build -> parse -> emulate pass it has always been.
+TEST(Study, RunStudyRecordsMatchPinnedDigest) {
+  synth::CorpusConfig corpus_config;
+  corpus_config.seed = 7;
+  synth::CorpusGenerator generator(TestUniverse(), corpus_config);
+  StudyConfig config;
+  config.num_apps = 400;
+  const StudyDataset study = RunStudy(TestUniverse(), generator, config);
+  ASSERT_EQ(study.size(), 400u);
+  RecordDigest digest;
+  for (const StudyRecord& r : study.records) {
+    digest.Vector(r.observed_apis);
+    digest.Vector(r.observed_api_counts);
+    digest.Vector(r.static_apis);
+    digest.Vector(r.permissions);
+    digest.Vector(r.manifest_intents);
+    digest.Value<uint64_t>(r.runtime_intents.size());
+    for (const auto& [intent, carrier] : r.runtime_intents) {
+      digest.Value(intent);
+      digest.Value(carrier);
+    }
+    digest.Value(r.label);
+    digest.Value(r.is_update);
+    digest.Value(r.total_invocations);
+    digest.Value(std::bit_cast<uint32_t>(r.rac));
+    digest.Value(std::bit_cast<uint32_t>(r.base_minutes));
+    digest.Value<uint64_t>(r.package_name.size());
+    digest.Bytes(r.package_name.data(), r.package_name.size());
+  }
+  EXPECT_EQ(digest.value(), 0xc1f2e6cc673882b9ull);
+}
+
 TEST(Selection, CorrelationsIdentifyAnchors) {
   const auto correlations = ComputeApiCorrelations(TestStudy(), TestUniverse().num_apis());
   ASSERT_EQ(correlations.size(), TestUniverse().num_apis());

@@ -2,12 +2,14 @@
 // analysis engine's gating/cost semantics, and the device farm.
 
 #include <algorithm>
+#include <future>
 
 #include <gtest/gtest.h>
 
 #include "emu/coverage.h"
 #include "emu/engine.h"
 #include "emu/farm.h"
+#include "rt/runtime.h"
 #include "synth/corpus.h"
 
 namespace apichecker::emu {
@@ -313,7 +315,6 @@ TEST(Farm, BatchCoversAllAppsAndMakespanBounds) {
   }
   FarmConfig config;
   config.num_emulators = 4;
-  config.worker_threads = 2;
   DeviceFarm farm(TestUniverse(), config);
   const BatchResult result =
       farm.RunBatch(apks, TrackedApiSet::None(TestUniverse().num_apis()));
@@ -328,6 +329,78 @@ TEST(Farm, BatchCoversAllAppsAndMakespanBounds) {
   EXPECT_GE(result.makespan_minutes, result.total_emulation_minutes / 4.0 - 1e-9);
   EXPECT_GE(result.makespan_minutes, max_minutes - 1e-9);
   EXPECT_LE(result.makespan_minutes, result.total_emulation_minutes + 1e-9);
+}
+
+void ExpectSameReport(const EmulationReport& got, const EmulationReport& want) {
+  EXPECT_EQ(got.observed_apis, want.observed_apis);
+  EXPECT_EQ(got.observed_api_counts, want.observed_api_counts);
+  ASSERT_EQ(got.observed_intents.size(), want.observed_intents.size());
+  for (size_t k = 0; k < want.observed_intents.size(); ++k) {
+    EXPECT_EQ(got.observed_intents[k].action, want.observed_intents[k].action);
+    EXPECT_EQ(got.observed_intents[k].carrier, want.observed_intents[k].carrier);
+  }
+  EXPECT_EQ(got.requested_permissions, want.requested_permissions);
+  EXPECT_EQ(got.manifest_intent_filters, want.manifest_intent_filters);
+  EXPECT_EQ(got.total_invocations, want.total_invocations);
+  EXPECT_EQ(got.tracked_invocations, want.tracked_invocations);
+  EXPECT_EQ(got.emulation_minutes, want.emulation_minutes);
+  EXPECT_EQ(got.rac, want.rac);
+  EXPECT_EQ(got.distinct_apis_invoked, want.distinct_apis_invoked);
+  EXPECT_EQ(got.emulator_detected, want.emulator_detected);
+  EXPECT_EQ(got.crashed, want.crashed);
+  EXPECT_EQ(got.retried, want.retried);
+  EXPECT_EQ(got.fell_back, want.fell_back);
+}
+
+// The fan-out is index-addressed: whichever runtime runs it, and whether it
+// is called from outside that runtime or from one of its tasks (as a farm
+// pool's dispatch calls it), report i is engine.Run(apks[i]) bit for bit.
+TEST(Farm, RunBatchMatchesPerAppEngineRuns) {
+  synth::CorpusConfig corpus_config;
+  corpus_config.seed = 21;
+  synth::CorpusGenerator gen(TestUniverse(), corpus_config);
+  std::vector<apk::ApkFile> apks;
+  for (int i = 0; i < 24; ++i) {
+    auto apk = apk::ParseApk(synth::BuildApkBytes(gen.Next(), TestUniverse()));
+    ASSERT_TRUE(apk.ok());
+    apks.push_back(std::move(*apk));
+  }
+  FarmConfig config;
+  config.num_emulators = 4;
+  config.engine.kind = EngineKind::kLightweight;  // Fallbacks, too.
+  std::vector<android::ApiId> every_seventh;
+  for (android::ApiId id = 0; id < TestUniverse().num_apis(); id += 7) {
+    every_seventh.push_back(id);
+  }
+  const TrackedApiSet tracked(every_seventh, TestUniverse().num_apis());
+  const DynamicAnalysisEngine engine(TestUniverse(), config.engine);
+  std::vector<EmulationReport> want;
+  for (const apk::ApkFile& apk : apks) {
+    want.push_back(engine.Run(apk, tracked));
+  }
+  auto check = [&](const BatchResult& result) {
+    ASSERT_EQ(result.reports.size(), apks.size());
+    for (size_t i = 0; i < apks.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "app " << i);
+      ExpectSameReport(result.reports[i], want[i]);
+    }
+  };
+
+  {
+    SCOPED_TRACE("private runtime");
+    DeviceFarm farm(TestUniverse(), config);
+    check(farm.RunBatch(apks, tracked));
+  }
+  for (size_t workers : {1, 2, 8}) {
+    SCOPED_TRACE(testing::Message() << "shared runtime of " << workers);
+    rt::Runtime runtime(rt::RuntimeOptions{.workers = workers});
+    DeviceFarm farm(TestUniverse(), config, &runtime);
+    check(farm.RunBatch(apks, tracked));
+    std::promise<BatchResult> from_task;
+    std::future<BatchResult> done = from_task.get_future();
+    runtime.Post([&] { from_task.set_value(farm.RunBatch(apks, tracked)); });
+    check(done.get());
+  }
 }
 
 }  // namespace

@@ -109,7 +109,6 @@ std::string ScratchSocket() {
 emu::FarmConfig SmallFarm() {
   emu::FarmConfig farm;
   farm.num_emulators = 2;
-  farm.worker_threads = 1;
   return farm;
 }
 

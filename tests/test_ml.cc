@@ -261,6 +261,23 @@ TEST(RandomForest, DeterministicGivenSeed) {
   }
 }
 
+// The serialized forest (trees, then importances as raw doubles) for a fixed
+// seed, pinned: parallel training must stay bit-identical to the serial
+// tree-by-tree loop, importance fold order included, whatever runs it.
+TEST(RandomForest, TrainMatchesPinnedDigest) {
+  const Dataset data = MakeLearnableDataset(800, 30, 23);
+  RandomForestConfig config;
+  config.num_trees = 16;
+  config.seed = 7;
+  RandomForest forest(config);
+  forest.Train(data);
+  uint64_t fnv1a = 0xcbf29ce484222325ull;
+  for (uint8_t byte : forest.Serialize()) {
+    fnv1a = (fnv1a ^ byte) * 0x100000001b3ull;
+  }
+  EXPECT_EQ(fnv1a, 0xe941c46d9deafdfcull);
+}
+
 TEST(RandomForest, SerializationRoundTrips) {
   const Dataset data = MakeLearnableDataset(500, 20, 19);
   RandomForestConfig config;

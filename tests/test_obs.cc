@@ -21,7 +21,6 @@
 #include "obs/trace.h"
 #include "obs/trace_collector.h"
 #include "rt/runtime.h"
-#include "util/thread_pool.h"
 
 namespace apichecker::obs {
 namespace {
@@ -100,8 +99,8 @@ TEST(Metrics, ConcurrentIncrementsLoseNothing) {
   Counter& counter = registry.counter("apichecker_test_events_total");
   Histogram& hist = registry.histogram("apichecker_test_latency_ms");
   constexpr size_t kIters = 20'000;
-  util::ThreadPool pool(8);
-  pool.ParallelFor(0, kIters, [&](size_t i) {
+  rt::Runtime runtime(rt::RuntimeOptions{.workers = 8});
+  runtime.ParallelFor(kIters, [&](size_t i) {
     counter.Increment();
     hist.Observe(static_cast<double>(i % 100));
   });
@@ -667,8 +666,8 @@ TEST(ObsSoak, ConcurrentObserveWhileSnapshottingQuantiles) {
       }
     }
   });
-  util::ThreadPool pool(8);
-  pool.ParallelFor(0, 50'000, [&](size_t i) {
+  rt::Runtime runtime(rt::RuntimeOptions{.workers = 8});
+  runtime.ParallelFor(50'000, [&](size_t i) {
     h.Observe(static_cast<double>(i % 101));
   });
   stop.store(true, std::memory_order_release);
@@ -679,9 +678,9 @@ TEST(ObsSoak, ConcurrentObserveWhileSnapshottingQuantiles) {
 TEST(ObsSoak, ConcurrentTraceLifecyclesLoseNoSpans) {
   TraceCollector collector;
   constexpr size_t kTraces = 4'000;
-  util::ThreadPool pool(8);
+  rt::Runtime runtime(rt::RuntimeOptions{.workers = 8});
   std::atomic<uint64_t> completed{0};
-  pool.ParallelFor(0, kTraces, [&](size_t i) {
+  runtime.ParallelFor(kTraces, [&](size_t i) {
     const uint64_t id = collector.StartTrace();
     StageSpan span;
     span.stage = stages::kSubmit;

@@ -4,11 +4,16 @@
 // uploads), coalesced deadlines firing in order (EDF linger flushes), timers
 // posted from within timer callbacks (heartbeat ticks rescheduling
 // themselves), and executor drain with timers still pending (service
-// teardown). RtSoak carries the stress label for the TSan tier.
+// teardown). The ParallelFor tests pin its contract: each index once, the
+// call returns after all of them, the caller works alongside its helpers so
+// it completes when none ever start, and a late helper touches nothing of
+// its caller's. RtSoak carries the stress label for the TSan tier.
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <unistd.h>
@@ -16,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "rt/runtime.h"
 
 namespace apichecker::rt {
@@ -235,6 +242,156 @@ TEST(Runtime, WorkStealingKeepsAllWorkersBusy) {
     });
   }
   EXPECT_TRUE(WaitFor([&] { return ran.load() == 64; }));
+}
+
+// Waits for `done`. On a timeout the runtime is leaked instead of joined, so
+// a deadlocked ParallelFor fails the test rather than hanging it.
+bool Completes(std::future<void>& done, std::unique_ptr<Runtime>& rt) {
+  if (done.wait_for(std::chrono::seconds(10)) == std::future_status::ready) {
+    return true;
+  }
+  (void)rt.release();
+  return false;
+}
+
+TEST(Runtime, ParallelForRunsEachIndexOnce) {
+  Runtime rt(RuntimeOptions{.workers = 4});
+  std::vector<std::atomic<int>> hits(1000);
+  std::atomic<size_t> finished{0};
+  rt.ParallelFor(hits.size(), [&](size_t i) {
+    // A few slow indices: the call must still wait for every one of them.
+    if (i % 250 == 0) std::this_thread::sleep_for(milliseconds(20));
+    hits[i].fetch_add(1);
+    finished.fetch_add(1);
+  });
+  EXPECT_EQ(finished.load(), hits.size());
+  for (const auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+  rt.ParallelFor(0, [](size_t) { ADD_FAILURE() << "n == 0 runs no body"; });
+}
+
+TEST(Runtime, ParallelForPostsNoMoreHelpersThanIndicesOrSpareWorkers) {
+  obs::Counter& tasks =
+      obs::MetricsRegistry::Default().counter(obs::names::kRtTasksTotal);
+  // Tasks a call leaves behind on a fresh runtime; Shutdown() drains any
+  // helper still queued, so each posted task is counted exactly once.
+  auto tasks_run = [&tasks](size_t workers,
+                            const std::function<void(Runtime&)>& call) {
+    Runtime rt(RuntimeOptions{.workers = workers});
+    const uint64_t before = tasks.value();
+    call(rt);
+    rt.Shutdown();
+    return tasks.value() - before;
+  };
+  const auto noop = [](size_t) {};
+  // From outside the runtime: min(n - 1, workers) helpers.
+  EXPECT_EQ(tasks_run(8, [&](Runtime& rt) { rt.ParallelFor(3, noop); }), 2u);
+  EXPECT_EQ(tasks_run(2, [&](Runtime& rt) { rt.ParallelFor(100, noop); }), 2u);
+  EXPECT_EQ(tasks_run(8, [&](Runtime& rt) { rt.ParallelFor(1, noop); }), 0u);
+  // From a worker: the posting task plus min(n - 1, workers - 1) helpers.
+  EXPECT_EQ(tasks_run(4, [&](Runtime& rt) {
+              std::promise<void> finished;
+              std::future<void> done = finished.get_future();
+              rt.Post([&] {
+                rt.ParallelFor(100, noop);
+                finished.set_value();
+              });
+              done.wait();
+            }),
+            1u + 3u);
+}
+
+TEST(Runtime, ParallelForCompletesNestedOnAOneWorkerRuntime) {
+  auto rt = std::make_unique<Runtime>(RuntimeOptions{.workers = 1});
+  std::vector<std::atomic<int>> hits(2 * 8 * 8);
+  auto nested = [&](size_t base) {
+    rt->ParallelFor(8, [&, base](size_t outer) {
+      rt->ParallelFor(8, [&, base, outer](size_t inner) {
+        hits[base + outer * 8 + inner].fetch_add(1);
+      });
+    });
+  };
+  // From inside a task (the one worker posts no helper), then from the test
+  // thread (its helpers land on the worker, which is busy in the outer call).
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  rt->Post([&] {
+    nested(0);
+    finished.set_value();
+  });
+  ASSERT_TRUE(Completes(done, rt));
+  nested(64);
+  for (const auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(Runtime, ParallelForCompletesWithEveryWorkerInsideItsOwnCall) {
+  auto rt = std::make_unique<Runtime>(RuntimeOptions{.workers = 2});
+  std::atomic<int> inside{0};
+  std::atomic<int> ran{0};
+  std::promise<void> finished[2];
+  for (std::promise<void>& promise : finished) {
+    rt->Post([&] {
+      // Neither task calls until both workers hold one, so neither call can
+      // count on the other worker to run its helper.
+      inside.fetch_add(1);
+      while (inside.load() < 2) std::this_thread::yield();
+      rt->ParallelFor(64, [&](size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        ran.fetch_add(1);
+      });
+      promise.set_value();
+    });
+  }
+  for (std::promise<void>& promise : finished) {
+    std::future<void> done = promise.get_future();
+    ASSERT_TRUE(Completes(done, rt));
+  }
+  EXPECT_EQ(ran.load(), 128);
+}
+
+TEST(Runtime, ParallelForAfterShutdownRunsEveryIndexOnTheCaller) {
+  Runtime rt(RuntimeOptions{.workers = 4});
+  rt.Shutdown();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(100, 0);  // Plain ints: only the caller may touch them.
+  rt.ParallelFor(hits.size(), [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++hits[i];
+  });
+  for (int h : hits) {
+    EXPECT_EQ(h, 1);
+  }
+}
+
+TEST(Runtime, ParallelForHelperStartingAfterItsCallerReturnedTouchesNothingOfIt) {
+  Runtime rt(RuntimeOptions{.workers = 1});
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<bool> blocked{false};
+  rt.Post([gate, &blocked] {
+    blocked.store(true);
+    gate.wait();
+  });
+  ASSERT_TRUE(WaitFor([&] { return blocked.load(); }));
+  {
+    // The call's one helper queues behind the blocked worker, so the caller
+    // runs both indices and returns; the body and what it captures are freed
+    // (heap, so ASan sees any later touch) before the helper starts.
+    auto hits = std::make_unique<std::vector<int>>(2, 0);
+    auto body = std::make_unique<std::function<void(size_t)>>(
+        [&hits](size_t i) { ++(*hits)[i]; });
+    rt.ParallelFor(hits->size(), *body);
+    EXPECT_EQ(*hits, (std::vector<int>{1, 1}));
+  }
+  release.set_value();
+  // One worker, one FIFO queue: this runs after the late helper did.
+  std::promise<void> after;
+  std::future<void> after_done = after.get_future();
+  rt.Post([&after] { after.set_value(); });
+  EXPECT_EQ(after_done.wait_for(std::chrono::seconds(10)), std::future_status::ready);
 }
 
 // Stress shape for the TSan tier: timers, strands, fd readiness, and plain

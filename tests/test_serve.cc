@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apk/apk.h"
 #include "core/model_store.h"
 #include "core/study.h"
 #include "ingest/apk_blob.h"
@@ -102,7 +103,6 @@ ServiceConfig SmallConfig() {
   config.num_shards = 2;
   config.shard_capacity = 64;
   config.farm.num_emulators = 4;
-  config.farm.worker_threads = 2;
   config.scheduler.batch_size = 4;
   config.scheduler.max_linger = std::chrono::milliseconds(5);
   return config;
@@ -428,7 +428,6 @@ TEST(VettingServiceSoak, ChurnWithFlappingFarmHotSwapsAndDupDigests) {
   config.shard_capacity = 512;
   config.cache_capacity = 4096;
   config.farm.num_emulators = 4;
-  config.farm.worker_threads = 2;
   config.scheduler.batch_size = 4;
   config.scheduler.max_linger = std::chrono::milliseconds(2);
   config.pool.num_farms = 3;
@@ -1052,6 +1051,66 @@ std::map<std::string, uint64_t> LedgerSeries() {
 // registry's class series must sum to their unlabeled totals, e2e must be
 // observed once per acceptance, and every sealed trace must partition its
 // total and end in `resolve` (a refusal: sealed `rejected`, no breakdown).
+// Each labeled latency family is created with its total's bucket ladder, so
+// its series sum, bucket by bucket, to the total: a Prometheus
+// histogram_quantile over the labeled series then agrees with the total.
+TEST(VettingService, LabeledLatencyFamiliesShareTheirTotalsBuckets) {
+  {
+    VettingService service(TestUniverse(), SmallConfig(), TrainedChecker());
+    // Every class, each with a small, a medium and a large APK.
+    const size_t pad_to[] = {0, 512 * 1024, 5 * 1024 * 1024};
+    std::vector<std::future<VettingResult>> futures;
+    uint64_t seed = 9100;
+    for (size_t c = 0; c < kNumPriorityClasses; ++c) {
+      for (size_t target : pad_to) {
+        std::vector<uint8_t> bytes = MakeApkBytes(++seed);
+        if (target > 0) {
+          auto padded = apk::PadApk(bytes, target, seed);
+          ASSERT_TRUE(padded.ok());
+          bytes = std::move(*padded);
+        }
+        auto future =
+            service.Submit(MakeSubmission(std::move(bytes), static_cast<Priority>(c)));
+        ASSERT_TRUE(future.ok());
+        futures.push_back(std::move(*future));
+      }
+    }
+    for (std::future<VettingResult>& future : futures) {
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(60)), std::future_status::ready);
+    }
+    service.Shutdown();
+  }
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  auto expect_family_sums_to_total = [&registry](
+                                         const char* total_name,
+                                         const std::vector<std::string>& labeled) {
+    SCOPED_TRACE(total_name);
+    const obs::HistogramSnapshot total = registry.histogram(total_name).Snapshot();
+    std::vector<uint64_t> sums(total.bucket_counts.size(), 0);
+    for (const std::string& name : labeled) {
+      const obs::HistogramSnapshot series = registry.histogram(name).Snapshot();
+      EXPECT_GT(series.count, 0u) << name;
+      ASSERT_EQ(series.bounds, total.bounds) << name;
+      for (size_t b = 0; b < sums.size(); ++b) {
+        sums[b] += series.bucket_counts[b];
+      }
+    }
+    EXPECT_EQ(sums, total.bucket_counts);
+  };
+  std::vector<std::string> by_class;
+  for (size_t c = 0; c < kNumPriorityClasses; ++c) {
+    by_class.push_back(
+        ClassSeriesName(obs::names::kServeE2eLatencyMs, static_cast<Priority>(c)));
+  }
+  std::vector<std::string> by_size;
+  for (const char* bucket : kApkSizeBuckets) {
+    by_size.push_back(AdmissionSeriesName(obs::names::kServeAdmissionLatencyMs, bucket));
+  }
+  expect_family_sums_to_total(obs::names::kServeE2eLatencyMs, by_class);
+  expect_family_sums_to_total(obs::names::kServeAdmissionLatencyMs, by_size);
+}
+
 TEST(VettingService, EveryExitPathResolvesOnceThroughTheLedger) {
   obs::TraceCollector& collector = obs::TraceCollector::Default();
   collector.Clear();
@@ -1267,7 +1326,6 @@ void RunStorm(uint64_t seed) {
   config.shard_capacity = 2 + rng.NextBounded(12);
   config.cache_capacity = 64;
   config.farm.num_emulators = 2;
-  config.farm.worker_threads = 2;
   config.scheduler.batch_size = 1 + rng.NextBounded(6);
   config.scheduler.max_linger =
       std::chrono::milliseconds(rng.NextBounded(5));
@@ -1389,7 +1447,6 @@ TEST(VettingServiceSoak, MixedClassStormShedsSpillsAndLosesNothing) {
   config.shard_capacity = 24;
   config.cache_capacity = 4096;
   config.farm.num_emulators = 4;
-  config.farm.worker_threads = 2;
   config.scheduler.batch_size = 4;
   config.scheduler.max_linger = std::chrono::milliseconds(2);
   config.pool.num_farms = 3;

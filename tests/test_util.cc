@@ -1,5 +1,5 @@
 // Unit tests for src/util: RNG, CRC-32, byte IO, strings, tables, result,
-// thread pool.
+// bounded queue.
 
 #include <atomic>
 #include <chrono>
@@ -17,7 +17,6 @@
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace apichecker::util {
 namespace {
@@ -308,25 +307,6 @@ TEST(Table, RendersAlignedAndCsv) {
   EXPECT_NE(text.str().find("| alpha"), std::string::npos);
   EXPECT_NE(csv.str().find("\"22,2\""), std::string::npos);
   EXPECT_EQ(t.num_rows(), 2u);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(0, hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPool, SubmitAndWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(Sha1, KnownVectors) {

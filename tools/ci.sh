@@ -27,6 +27,10 @@
 set -e
 
 ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
+# One compiler or test process per core: a bare -j starts one per target,
+# which after a widely included header changes means dozens of sanitizer
+# compilers at once.
+JOBS=$(nproc)
 ASAN=1
 UBSAN=1
 TSAN=1
@@ -39,8 +43,9 @@ done
 # The resolution ledger, read from the registry side of one metrics dump: the
 # service accepted something, accepted equals the sum of the resolution
 # counters, every {class=...} family (counters and histogram counts) sums to
-# its unlabeled total, and the e2e latency histogram holds exactly one
-# observation per accepted submission.
+# its unlabeled total, every {class=...} and {size=...} histogram family
+# carries its total's buckets and sums to it bucket by bucket, and the e2e
+# latency histogram holds exactly one observation per accepted submission.
 check_ledger() {
   python3 - "$1" <<'PYEOF'
 import json, sys
@@ -69,22 +74,44 @@ for base, by_class in sorted(families.items()):
     if by_class != values.get(base, 0):
         raise SystemExit("%s: %s{class=...} sums to %d, its total is %d"
                          % (path, base, by_class, values.get(base, 0)))
+bucket_families = {}
+for name, hist in histograms.items():
+    for label in ('{class="', '{size="'):
+        base, labeled, _ = name.partition(label)
+        if labeled:
+            bucket_families.setdefault((base, label), []).append((name, hist))
+for (base, label), members in sorted(bucket_families.items()):
+    total = histograms.get(base)
+    if total is None:
+        raise SystemExit("%s: %s%s...} has no total" % (path, base, label))
+    bounds = [b["le"] for b in total["buckets"]]
+    sums = [0] * len(bounds)
+    for name, hist in members:
+        if [b["le"] for b in hist["buckets"]] != bounds:
+            raise SystemExit("%s: %s does not carry %s's buckets" % (path, name, base))
+        sums = [s + b["count"] for s, b in zip(sums, hist["buckets"])]
+    if sums != [b["count"] for b in total["buckets"]]:
+        raise SystemExit("%s: %s%s...} sums to buckets %s, its total has %s"
+                         % (path, base, label, sums,
+                            [b["count"] for b in total["buckets"]]))
 e2e = values.get("apichecker_serve_e2e_latency_ms", 0)
 if e2e != accepted:
     raise SystemExit("%s: %d e2e latency observations for %d accepted"
                      % (path, e2e, accepted))
 print("ledger %s: %d accepted == %d resolved == %d e2e observations; "
-      "%d class families sum to their totals"
-      % (path.rsplit("/", 1)[-1], accepted, resolved, e2e, len(families)))
+      "%d class families sum to their totals, %d histogram families "
+      "bucket by bucket"
+      % (path.rsplit("/", 1)[-1], accepted, resolved, e2e, len(families),
+         len(bucket_families)))
 PYEOF
 }
 
 echo "=== tier-1: configure + build ==="
 cmake -B "$ROOT/build" -S "$ROOT" >/dev/null
-cmake --build "$ROOT/build" -j
+cmake --build "$ROOT/build" -j "$JOBS"
 
 echo "=== tier-1: ctest ==="
-(cd "$ROOT/build" && ctest --output-on-failure -j)
+(cd "$ROOT/build" && ctest --output-on-failure -j "$JOBS")
 
 echo "=== serve: CLI smoke (trace replay + metrics) ==="
 SERVE_TMP=$(mktemp -d)
@@ -487,14 +514,15 @@ check_ledger "$SERVE_TMP/metrics-threads-8.json"
 echo "thread gate OK (process thread peak flat as upload clients quadruple)"
 
 if [ "$ASAN" = "1" ]; then
-  echo "=== asan: build + run test_rt test_obs test_apk test_ingest test_serve test_store test_farm_pool test_fabric test_gateway ==="
+  echo "=== asan: build + run test_rt test_obs test_apk test_ingest test_emu test_serve test_store test_farm_pool test_fabric test_gateway ==="
   cmake -B "$ROOT/build-asan" -S "$ROOT" -DAPICHECKER_SANITIZE=address >/dev/null
-  cmake --build "$ROOT/build-asan" -j --target test_rt test_obs test_apk test_ingest \
-    test_serve test_store test_farm_pool test_fabric test_gateway
+  cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_rt test_obs test_apk \
+    test_ingest test_emu test_serve test_store test_farm_pool test_fabric test_gateway
   "$ROOT/build-asan/tests/test_rt"
   "$ROOT/build-asan/tests/test_obs"
   "$ROOT/build-asan/tests/test_apk"
   "$ROOT/build-asan/tests/test_ingest"
+  "$ROOT/build-asan/tests/test_emu"
   "$ROOT/build-asan/tests/test_serve"
   "$ROOT/build-asan/tests/test_store"
   "$ROOT/build-asan/tests/test_farm_pool"
@@ -508,19 +536,23 @@ if [ "$UBSAN" = "1" ]; then
   # invocation rates feed two such casts, so the lane adds the check.
   cmake -B "$ROOT/build-ubsan" -S "$ROOT" \
     -DAPICHECKER_SANITIZE=undefined,float-cast-overflow >/dev/null
-  cmake --build "$ROOT/build-ubsan" -j
+  cmake --build "$ROOT/build-ubsan" -j "$JOBS"
   (cd "$ROOT/build-ubsan" && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest --output-on-failure -j)
+    ctest --output-on-failure -j "$JOBS")
 fi
 
 if [ "$TSAN" = "1" ]; then
-  echo "=== tsan: serve races + stress-labelled suites ==="
+  echo "=== tsan: serve races, farm fan-out, forest training + stress-labelled suites ==="
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DAPICHECKER_SANITIZE=thread >/dev/null
-  cmake --build "$ROOT/build-tsan" -j --target test_rt test_serve test_store \
-    test_farm_pool test_ingest test_obs test_fabric test_gateway
+  cmake --build "$ROOT/build-tsan" -j "$JOBS" --target test_rt test_serve test_store \
+    test_farm_pool test_ingest test_obs test_emu test_ml test_fabric test_gateway
   "$ROOT/build-tsan/tests/test_rt"
   "$ROOT/build-tsan/tests/test_serve"
   "$ROOT/build-tsan/tests/test_obs"
+  # The farm's per-app fan-out and random-forest training run as
+  # rt::Runtime::ParallelFor.
+  "$ROOT/build-tsan/tests/test_emu"
+  "$ROOT/build-tsan/tests/test_ml" --gtest_filter='RandomForest.*'
   # Stress label = the farm-pool fault suite, the multi-producer serve/store
   # soaks, the concurrent blob-release soak, the fabric connect/disconnect
   # churn soak, and the gateway hostile-client soak (tests/CMakeLists.txt tags

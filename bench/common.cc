@@ -6,7 +6,6 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "stats/cdf.h"
 #include "stats/descriptive.h"
 
@@ -19,14 +18,14 @@ std::string* MetricsOutPath() {
   return path;
 }
 
-// atexit hook: every bench run ends with its metrics JSON, so BENCH_* output
-// trajectories pick up the pipeline stage latencies without per-bench code.
+// atexit hook: every bench run ends with its metrics JSON, so a bench's
+// output carries the pipeline's counters and latency histograms without
+// per-bench code.
 void EmitMetricsAtExit() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  const std::string json = obs::ToJson(registry, &obs::TraceLog::Default());
+  const std::string json = obs::ToJson(registry);
   if (!MetricsOutPath()->empty()) {
-    auto written = obs::WriteMetricsFile(*MetricsOutPath(), registry,
-                                         &obs::TraceLog::Default());
+    auto written = obs::WriteMetricsFile(*MetricsOutPath(), registry);
     if (!written.ok()) {
       std::fprintf(stderr, "metrics dump failed: %s\n", written.error().c_str());
     }

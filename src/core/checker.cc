@@ -14,17 +14,15 @@ ApiChecker::ApiChecker(const android::ApiUniverse& universe, ApiCheckerConfig co
 
 void ApiChecker::TrainFromStudy(const StudyDataset& study) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
-  obs::TraceSpan span("core.train");
   obs::ScopedTimer timer(metrics.histogram(obs::names::kCoreTrainMs));
   {
-    obs::TraceSpan selection_span("core.select_key_apis");
+    // Scoped so the per-API correlations are freed before the forest is fit.
     const std::vector<ApiCorrelation> correlations =
         ComputeApiCorrelations(study, universe_.num_apis());
     selection_ = SelectKeyApis(correlations, universe_, study.size(), config_.selection);
     schema_ = FeatureSchema(selection_.key_apis, universe_, config_.features);
   }
 
-  obs::TraceSpan fit_span("core.fit_forest");
   const ml::Dataset data = BuildDataset(study, schema_, universe_);
   model_ = std::make_unique<ml::RandomForest>(config_.forest);
   model_->set_threshold(config_.threshold);

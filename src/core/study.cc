@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace apichecker::core {
@@ -69,7 +68,6 @@ StudyRecord StudyRecorder::BuildRecord(const apk::ApkFile& apk,
 
 StudyDataset RunStudy(const android::ApiUniverse& universe, synth::CorpusGenerator& generator,
                       const StudyConfig& config) {
-  obs::TraceSpan span("core.run_study");
   StudyDataset study;
   study.records.resize(config.num_apps);
 

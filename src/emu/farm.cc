@@ -1,8 +1,6 @@
 #include "emu/farm.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -17,6 +15,7 @@ DeviceFarm::DeviceFarm(const android::ApiUniverse& universe, FarmConfig config,
       engine_(universe, config.engine),
       owned_runtime_(runtime == nullptr ? std::make_unique<rt::Runtime>() : nullptr),
       rt_(runtime == nullptr ? owned_runtime_.get() : runtime),
+      batch_ms_(obs::MetricsRegistry::Default().histogram(obs::names::kEmuFarmBatchMs)),
       fault_rng_(util::SplitMix64(config.fault_plan.seed ^
                                   (0x9e3779b97f4a7c15ull * (config.farm_id + 1)))) {}
 
@@ -41,15 +40,10 @@ std::string DeviceFarm::FaultFor(uint64_t ordinal) {
 
 BatchResult DeviceFarm::RunBatch(std::span<const apk::ApkFile> apks,
                                  const TrackedApiSet& tracked) {
-  obs::TraceSpan span("emu.run_batch");
   BatchResult result;
 
   if (config_.fault_plan.enabled()) {
     const uint64_t ordinal = batch_ordinal_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (config_.fault_plan.induced_latency_ms > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          config_.fault_plan.induced_latency_ms));
-    }
     if (std::string reason = FaultFor(ordinal); !reason.empty()) {
       result.farm_fault = true;
       result.fault_reason = std::move(reason);
@@ -62,6 +56,9 @@ BatchResult DeviceFarm::RunBatch(std::span<const apk::ApkFile> apks,
     batch_ordinal_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  // Faulted batches are not timed, so the histogram's count equals
+  // apichecker_emu_farm_batches_total.
+  obs::ScopedTimer timer(batch_ms_);
   result.reports.resize(apks.size());
   rt_->ParallelFor(apks.size(), [&](size_t i) {
     result.reports[i] = engine_.Run(apks[i], tracked);

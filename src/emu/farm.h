@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "emu/engine.h"
+#include "obs/metrics.h"
 #include "rt/runtime.h"
 #include "util/rng.h"
 
@@ -36,9 +37,9 @@ struct FaultWindow {
 
 // Deterministic fault-injection plan for resilience testing. Built in rather
 // than bolted on: the plan threads from FarmPoolConfig through the service
-// down to every DeviceFarm, so tests, benches, and the CLI can exercise crash,
-// flap, and slow-farm scenarios on demand. An empty plan is free: the hook is
-// a single branch at the top of RunBatch.
+// down to every DeviceFarm, so tests, benches, and the CLI can exercise crash
+// and flap scenarios on demand. An empty plan is free: the hook is a single
+// branch at the top of RunBatch.
 struct FaultPlan {
   // Seeds the per-farm Bernoulli fault stream (farm_id is mixed in, so farms
   // fault independently but reproducibly).
@@ -47,12 +48,8 @@ struct FaultPlan {
   double fault_rate = 0.0;
   // Scripted faults (deterministic mode; both modes compose).
   std::vector<FaultWindow> windows;
-  // Real wall-clock delay added to every batch (slow-farm simulation).
-  double induced_latency_ms = 0.0;
 
-  bool enabled() const {
-    return fault_rate > 0.0 || !windows.empty() || induced_latency_ms > 0.0;
-  }
+  bool enabled() const { return fault_rate > 0.0 || !windows.empty(); }
 };
 
 struct FarmConfig {
@@ -104,6 +101,7 @@ class DeviceFarm {
   DynamicAnalysisEngine engine_;
   std::unique_ptr<rt::Runtime> owned_runtime_;  // Only when none was passed.
   rt::Runtime* rt_;
+  obs::Histogram& batch_ms_;  // Wall-clock of each executed batch.
   std::atomic<uint64_t> batch_ordinal_{0};
   std::mutex fault_mu_;  // Guards fault_rng_ (RunBatch may be called concurrently).
   util::Rng fault_rng_;

@@ -34,7 +34,6 @@ std::vector<MonthlyStats> MarketSimulation::Run() {
 
   std::vector<MonthlyStats> months;
   for (size_t month = 1; month <= config_.months; ++month) {
-    obs::TraceSpan month_span("market.month");
     MonthlyStats stats;
     stats.month = month;
     scan_minutes_sum_ = 0.0;
@@ -61,7 +60,6 @@ std::vector<MonthlyStats> MarketSimulation::Run() {
 }
 
 void MarketSimulation::RunDay(MonthlyStats& stats, size_t /*day_index*/) {
-  obs::TraceSpan day_span("market.day");
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
   obs::Histogram& scan_minutes = metrics.histogram(obs::names::kMarketScanMinutes);
   const emu::DynamicAnalysisEngine production_engine(universe_, config_.production_engine);
@@ -175,7 +173,6 @@ double MarketSimulation::ValidationF1(const core::ApiChecker& checker,
 
 bool MarketSimulation::MonthlyEvolution(size_t month_index) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
-  obs::TraceSpan span("market.monthly_evolution");
   obs::ScopedTimer retrain_timer(metrics.histogram(obs::names::kMarketRetrainMs));
 
   // Quarterly SDK growth: new framework APIs appear and newly generated apps

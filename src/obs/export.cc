@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
+#include <map>
 #include <vector>
 
 #include "util/strings.h"
@@ -87,38 +87,55 @@ void AppendHistogramJson(std::string& out, const HistogramSnapshot& hist) {
 }  // namespace
 
 std::string ToPrometheusText(const MetricsRegistry& registry) {
+  // A series name is `family` or `family{k="v",...}`. Group by family
+  // explicitly: in name order `f_x` sorts between `f` and `f{...}`.
+  const std::vector<MetricSnapshot> metrics = registry.Snapshot();
+  std::map<std::string_view, std::vector<const MetricSnapshot*>> families;
+  for (const MetricSnapshot& metric : metrics) {
+    const std::string_view name = metric.name;
+    families[name.substr(0, name.find('{'))].push_back(&metric);
+  }
   std::string out;
-  for (const MetricSnapshot& metric : registry.Snapshot()) {
-    if (!metric.help.empty()) {
-      out += "# HELP " + metric.name + " " + metric.help + "\n";
-    }
-    out += util::StrFormat("# TYPE %s %s\n", metric.name.c_str(), MetricKindName(metric.kind));
-    switch (metric.kind) {
-      case MetricKind::kCounter:
-      case MetricKind::kGauge:
-        out += metric.name + " " + JsonNumber(metric.value) + "\n";
-        break;
-      case MetricKind::kHistogram: {
-        const HistogramSnapshot& hist = metric.histogram;
-        uint64_t cumulative = 0;
-        for (size_t b = 0; b < hist.bucket_counts.size(); ++b) {
-          cumulative += hist.bucket_counts[b];
-          const std::string le =
-              b < hist.bounds.size() ? JsonNumber(hist.bounds[b]) : std::string("+Inf");
-          out += util::StrFormat("%s_bucket{le=\"%s\"} %llu\n", metric.name.c_str(),
-                                 le.c_str(), static_cast<unsigned long long>(cumulative));
-        }
-        out += metric.name + "_sum " + JsonNumber(hist.sum) + "\n";
-        out += util::StrFormat("%s_count %llu\n", metric.name.c_str(),
-                               static_cast<unsigned long long>(hist.count));
+  for (const auto& [family_view, series] : families) {
+    const std::string family(family_view);
+    // The unlabeled series sorts first, so its help text wins when it has any.
+    for (const MetricSnapshot* metric : series) {
+      if (!metric->help.empty()) {
+        out += "# HELP " + family + " " + metric->help + "\n";
         break;
       }
+    }
+    out += util::StrFormat("# TYPE %s %s\n", family.c_str(),
+                           MetricKindName(series.front()->kind));
+    for (const MetricSnapshot* metric : series) {
+      // The series' label set with its braces; empty when unlabeled.
+      const std::string labels = metric->name.substr(family.size());
+      if (metric->kind != MetricKind::kHistogram) {
+        out += family + labels + " " + JsonNumber(metric->value) + "\n";
+        continue;
+      }
+      const HistogramSnapshot& hist = metric->histogram;
+      // Bucket samples add `le` to the series' own labels.
+      const std::string bucket_labels =
+          labels.empty() ? "{" : labels.substr(0, labels.size() - 1) + ",";
+      uint64_t cumulative = 0;
+      for (size_t b = 0; b < hist.bucket_counts.size(); ++b) {
+        cumulative += hist.bucket_counts[b];
+        const std::string le =
+            b < hist.bounds.size() ? JsonNumber(hist.bounds[b]) : std::string("+Inf");
+        out += util::StrFormat("%s_bucket%sle=\"%s\"} %llu\n", family.c_str(),
+                               bucket_labels.c_str(), le.c_str(),
+                               static_cast<unsigned long long>(cumulative));
+      }
+      out += family + "_sum" + labels + " " + JsonNumber(hist.sum) + "\n";
+      out += util::StrFormat("%s_count%s %llu\n", family.c_str(), labels.c_str(),
+                             static_cast<unsigned long long>(hist.count));
     }
   }
   return out;
 }
 
-std::string ToJson(const MetricsRegistry& registry, const TraceLog* trace) {
+std::string ToJson(const MetricsRegistry& registry) {
   std::string counters = "{";
   std::string gauges = "{";
   std::string histograms = "{";
@@ -153,35 +170,18 @@ std::string ToJson(const MetricsRegistry& registry, const TraceLog* trace) {
   out += "  \"counters\": " + counters + ",\n";
   out += "  \"gauges\": " + gauges + ",\n";
   out += "  \"histograms\": " + histograms;
-  if (trace != nullptr) {
-    out += ",\n  \"spans\": [";
-    const char* sep = "";
-    for (const SpanRecord& span : trace->Snapshot()) {
-      out += sep;
-      out += "\n    {\"name\": \"" + JsonEscape(span.name) + "\"";
-      out += ", \"parent\": \"" + JsonEscape(span.parent) + "\"";
-      out += util::StrFormat(", \"depth\": %u", span.depth);
-      out += ", \"start_ms\": " + JsonNumber(span.start_ms);
-      out += ", \"duration_ms\": " + JsonNumber(span.duration_ms) + "}";
-      sep = ",";
-    }
-    out += "\n  ],\n";
-    out += util::StrFormat("  \"spans_dropped\": %llu",
-                           static_cast<unsigned long long>(trace->dropped()));
-  }
   out += "\n}\n";
   return out;
 }
 
 util::Result<bool> WriteMetricsFile(const std::string& path,
-                                    const MetricsRegistry& registry,
-                                    const TraceLog* trace) {
+                                    const MetricsRegistry& registry) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
     return util::Err("cannot open metrics file: " + path);
   }
   out << (util::EndsWith(path, ".prom") ? ToPrometheusText(registry)
-                                        : ToJson(registry, trace));
+                                        : ToJson(registry));
   out.flush();
   if (!out) {
     return util::Err("write failed: " + path);
@@ -444,95 +444,7 @@ util::Result<ParsedDump> ParseJsonDump(std::string_view json) {
       dump.histograms[name] = std::move(hist);
     }
   }
-  if (const JsonValue* spans = root->Find("spans")) {
-    dump.num_spans = spans->array.size();
-  }
   return dump;
-}
-
-PeriodicReporter::PeriodicReporter(std::chrono::milliseconds interval, FlushFn flush,
-                                   MetricsRegistry& registry)
-    : interval_(interval), flush_(std::move(flush)), registry_(registry) {
-  thread_ = std::thread([this] { Loop(); });
-}
-
-PeriodicReporter::PeriodicReporter(std::chrono::milliseconds interval, FlushFn flush,
-                                   TimerHost host, MetricsRegistry& registry)
-    : interval_(interval),
-      flush_(std::move(flush)),
-      registry_(registry),
-      host_(std::move(host)) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ArmLocked();
-}
-
-PeriodicReporter::~PeriodicReporter() { Stop(); }
-
-void PeriodicReporter::ArmLocked() {
-  tick_armed_ = true;
-  cancel_tick_ = host_(interval_, [this] { Tick(); });
-  if (!cancel_tick_) tick_armed_ = false;  // Host refused: it is shutting down.
-}
-
-void PeriodicReporter::Tick() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      tick_armed_ = false;
-      cv_.notify_all();
-      return;
-    }
-  }
-  flush_(registry_);
-  flushes_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stopping_) {
-    tick_armed_ = false;
-    cv_.notify_all();
-    return;
-  }
-  ArmLocked();
-}
-
-void PeriodicReporter::Stop() {
-  // Fully serialized: every Stop() caller returns only after the one final
-  // flush has run. Without this, a second concurrent caller would observe
-  // stopping_ == true and return while the first was still joining — the
-  // "service stopped between ticks" snapshot it relied on not yet written.
-  std::lock_guard<std::mutex> stop_lock(stop_mu_);
-  if (stopped_) {
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    stopping_ = true;
-    if (host_) {
-      // A successful cancel retires the pending tick; a lost race means the
-      // tick is queued or mid-flush, so wait for it to observe stopping_.
-      if (tick_armed_ && cancel_tick_ && cancel_tick_()) tick_armed_ = false;
-      cv_.wait(lock, [this] { return !tick_armed_; });
-    }
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-  flush_(registry_);  // Final flush so short runs never lose their tail.
-  flushes_.fetch_add(1, std::memory_order_relaxed);
-  stopped_ = true;
-}
-
-void PeriodicReporter::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
-    if (cv_.wait_for(lock, interval_, [this] { return stopping_; })) {
-      return;
-    }
-    lock.unlock();
-    flush_(registry_);
-    flushes_.fetch_add(1, std::memory_order_relaxed);
-    lock.lock();
-  }
 }
 
 }  // namespace apichecker::obs

@@ -1,36 +1,33 @@
-// Metric exporters: Prometheus text exposition and a JSON dump (plus a
+// Metric exporters: Prometheus text exposition and a JSON dump, plus a
 // parser for the dump, so telemetry consumers — and the round-trip tests —
-// can read it back without a JSON library), and a periodic reporter that
-// flushes snapshots from a background thread.
+// can read it back without a JSON library.
 
 #ifndef APICHECKER_OBS_EXPORT_H_
 #define APICHECKER_OBS_EXPORT_H_
 
-#include <chrono>
-#include <condition_variable>
-#include <functional>
 #include <map>
 #include <string>
-#include <thread>
+#include <string_view>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/result.h"
 
 namespace apichecker::obs {
 
-// Prometheus text exposition format (# HELP / # TYPE / samples).
+// Prometheus text exposition format. A registry series is its family name
+// plus an optional label set (obs/labels.h); each family gets one # HELP and
+// one # TYPE line ahead of all its samples, and a labeled histogram renders
+// as family_bucket{labels,le="..."}, family_sum{labels}, family_count{labels}.
 std::string ToPrometheusText(const MetricsRegistry& registry);
 
-// JSON dump: {"counters": {...}, "gauges": {...}, "histograms": {...},
-// "spans": [...]}. Histograms carry count/sum/min/max, cumulative buckets,
-// and p50/p90/p95/p99. Pass a TraceLog to include finished spans.
-std::string ToJson(const MetricsRegistry& registry, const TraceLog* trace = nullptr);
+// JSON dump: {"schema": ..., "counters": {...}, "gauges": {...},
+// "histograms": {...}}, keyed by series name. Histograms carry
+// count/sum/min/max, cumulative buckets, and p50/p90/p95/p99.
+std::string ToJson(const MetricsRegistry& registry);
 
 // Writes ToJson (or Prometheus text when `path` ends in ".prom") to `path`.
 util::Result<bool> WriteMetricsFile(const std::string& path,
-                                    const MetricsRegistry& registry,
-                                    const TraceLog* trace = nullptr);
+                                    const MetricsRegistry& registry);
 
 // Parsed form of the JSON dump, for round-tripping and telemetry consumers.
 struct ParsedHistogram {
@@ -45,66 +42,9 @@ struct ParsedDump {
   std::map<std::string, double> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, ParsedHistogram> histograms;
-  size_t num_spans = 0;
 };
 
 util::Result<ParsedDump> ParseJsonDump(std::string_view json);
-
-// Invokes `flush` every `interval` (and once on Stop). Typical use:
-// periodically dump ToJson to a sidecar file during long runs.
-//
-// Two hosting modes. The thread constructor owns a background thread (the
-// historical shape — still right for tools with no runtime). The timer-host
-// constructor instead self-reschedules one-shot timers on a caller-provided
-// scheduler, so a process with a unified rt::Runtime spends zero threads on
-// reporting; the host is a plain std::function so obs never depends on rt.
-class PeriodicReporter {
- public:
-  using FlushFn = std::function<void(const MetricsRegistry&)>;
-  // Cancels a scheduled tick; true = the tick will never run. An empty
-  // function means the host refused (it is shutting down).
-  using CancelFn = std::function<bool()>;
-  // Schedules `tick` to run once after `delay` (rt::Runtime::PostAfter
-  // wrapped, or any equivalent). Must not run `tick` inline.
-  using TimerHost =
-      std::function<CancelFn(std::chrono::milliseconds delay, std::function<void()> tick)>;
-
-  PeriodicReporter(std::chrono::milliseconds interval, FlushFn flush,
-                   MetricsRegistry& registry = MetricsRegistry::Default());
-  // Timer-host mode: no thread; each tick re-arms the next via `host`.
-  PeriodicReporter(std::chrono::milliseconds interval, FlushFn flush, TimerHost host,
-                   MetricsRegistry& registry = MetricsRegistry::Default());
-  ~PeriodicReporter();
-
-  PeriodicReporter(const PeriodicReporter&) = delete;
-  PeriodicReporter& operator=(const PeriodicReporter&) = delete;
-
-  // Idempotent and fully serialized: the first caller joins the thread and
-  // runs one final flush; any concurrent caller blocks until that flush has
-  // completed, so no caller ever returns before the last snapshot is out.
-  void Stop();
-
-  uint64_t flush_count() const { return flushes_.load(std::memory_order_relaxed); }
-
- private:
-  void Loop();
-  void Tick();
-  void ArmLocked();  // Requires mu_.
-
-  std::chrono::milliseconds interval_;
-  FlushFn flush_;
-  MetricsRegistry& registry_;
-  TimerHost host_;  // Empty in thread mode.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  bool tick_armed_ = false;  // Timer-host mode: a tick is scheduled or running.
-  CancelFn cancel_tick_;     // Guarded by mu_.
-  std::mutex stop_mu_;   // Serializes Stop(); held across the final flush.
-  bool stopped_ = false; // Guarded by stop_mu_.
-  std::atomic<uint64_t> flushes_{0};
-  std::thread thread_;
-};
 
 }  // namespace apichecker::obs
 

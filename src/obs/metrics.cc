@@ -286,6 +286,7 @@ void RegisterStandardMetrics(MetricsRegistry& registry) {
   registry.counter(kEmuRetriesTotal, "crashed first runs that were retried");
   registry.counter(kEmuFallbacksTotal, "lightweight-engine fallbacks to Google emulator");
   registry.counter(kEmuFarmBatchesTotal, "device-farm batches executed");
+  registry.histogram(kEmuFarmBatchMs, {}, "wall-clock per executed device-farm batch, ms");
   registry.histogram(kEmuFarmMakespanMinutes, {},
                      "simulated farm makespan per batch, minutes");
   registry.histogram(kEmuFarmQueueWaitMinutes, {},
@@ -374,8 +375,8 @@ void RegisterStandardMetrics(MetricsRegistry& registry) {
   registry.histogram(kServeTracedE2eMs, Histogram::ExponentialBounds(0.5, 2.0, 18),
                      "traced: admission -> resolution end-to-end, ms");
 
-  registry.counter(kObsTraceSpansTotal, "stage spans recorded by the trace collector");
-  registry.counter(kObsTraceSpansDroppedTotal,
+  registry.counter(kObsStageSpansTotal, "stage spans recorded by the trace collector");
+  registry.counter(kObsStageSpansDroppedTotal,
                    "spans dropped (unknown or already-sealed trace)");
   registry.counter(kObsTracesStartedTotal, "traces opened by sampling decisions");
   registry.counter(kObsTracesCompletedTotal, "traces sealed with a resolution");

@@ -19,6 +19,7 @@ inline constexpr char kEmuCrashesTotal[] = "apichecker_emu_crashes_total";
 inline constexpr char kEmuRetriesTotal[] = "apichecker_emu_retries_total";
 inline constexpr char kEmuFallbacksTotal[] = "apichecker_emu_fallbacks_total";
 inline constexpr char kEmuFarmBatchesTotal[] = "apichecker_emu_farm_batches_total";
+inline constexpr char kEmuFarmBatchMs[] = "apichecker_emu_farm_batch_ms";
 inline constexpr char kEmuFarmMakespanMinutes[] =
     "apichecker_emu_farm_makespan_minutes";
 inline constexpr char kEmuFarmQueueWaitMinutes[] =
@@ -121,8 +122,8 @@ inline constexpr char kServeStageResolveMs[] =
 inline constexpr char kServeTracedE2eMs[] = "apichecker_serve_traced_e2e_ms";
 
 // obs layer — the trace collector's own accounting.
-inline constexpr char kObsTraceSpansTotal[] = "apichecker_obs_trace_spans_total";
-inline constexpr char kObsTraceSpansDroppedTotal[] =
+inline constexpr char kObsStageSpansTotal[] = "apichecker_obs_trace_spans_total";
+inline constexpr char kObsStageSpansDroppedTotal[] =
     "apichecker_obs_trace_spans_dropped_total";
 inline constexpr char kObsTracesStartedTotal[] =
     "apichecker_obs_traces_started_total";

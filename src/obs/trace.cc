@@ -1,99 +1,9 @@
 #include "obs/trace.h"
 
-#include <thread>
-
 namespace apichecker::obs {
-
-namespace {
-
-thread_local TraceSpan* t_current_span = nullptr;
-
-std::chrono::steady_clock::time_point TraceEpoch() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return epoch;
-}
-
-double MsSince(std::chrono::steady_clock::time_point from,
-               std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-}  // namespace
-
-TraceLog& TraceLog::Default() {
-  static TraceLog* log = new TraceLog();  // Never destroyed.
-  return *log;
-}
-
-void TraceLog::Record(SpanRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (records_.size() >= capacity_) {
-    // Drop the oldest half in one shot so steady-state Record stays O(1)
-    // amortized instead of shifting the whole buffer per span.
-    const size_t keep = capacity_ / 2;
-    records_.erase(records_.begin(), records_.end() - static_cast<ptrdiff_t>(keep));
-    dropped_ += capacity_ - keep;
-  }
-  records_.push_back(std::move(record));
-}
-
-std::vector<SpanRecord> TraceLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_;
-}
-
-void TraceLog::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  dropped_ = 0;
-}
-
-uint64_t TraceLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-TraceSpan::TraceSpan(std::string name, MetricsRegistry* registry, TraceLog* log)
-    : name_(std::move(name)),
-      registry_(registry),
-      log_(log),
-      parent_(t_current_span),
-      depth_(parent_ == nullptr ? 0 : parent_->depth_ + 1),
-      start_(std::chrono::steady_clock::now()) {
-  t_current_span = this;
-}
-
-TraceSpan::~TraceSpan() {
-  const auto end = std::chrono::steady_clock::now();
-  t_current_span = parent_;
-  const double duration_ms = MsSince(start_, end);
-  if (registry_ != nullptr) {
-    registry_->histogram("apichecker_trace_" + name_ + "_ms").Observe(duration_ms);
-  }
-  if (log_ != nullptr) {
-    SpanRecord record;
-    record.name = name_;
-    record.parent = parent_ == nullptr ? "" : parent_->name_;
-    record.depth = depth_;
-    record.thread_hash = std::hash<std::thread::id>{}(std::this_thread::get_id());
-    record.start_ms = MsSince(TraceEpoch(), start_);
-    record.duration_ms = duration_ms;
-    log_->Record(std::move(record));
-  }
-}
-
-double TraceSpan::elapsed_ms() const {
-  return MsSince(start_, std::chrono::steady_clock::now());
-}
-
-const TraceSpan* TraceSpan::Current() { return t_current_span; }
 
 ScopedTimer::ScopedTimer(Histogram& histogram, Unit unit)
     : histogram_(&histogram), unit_(unit), start_(std::chrono::steady_clock::now()) {}
-
-ScopedTimer::ScopedTimer(MetricsRegistry& registry, std::string_view name, Unit unit)
-    : ScopedTimer(registry.histogram(name), unit) {}
 
 ScopedTimer::~ScopedTimer() {
   if (!stopped_) {
@@ -106,7 +16,9 @@ double ScopedTimer::Stop() {
     return 0.0;
   }
   stopped_ = true;
-  const double ms = MsSince(start_, std::chrono::steady_clock::now());
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start_)
+                        .count();
   double value = ms;
   switch (unit_) {
     case Unit::kSeconds:

@@ -1,91 +1,24 @@
-// Scoped timers and span tracing. A TraceSpan measures one pipeline stage and
-// nests: each thread keeps a span stack, so spans opened while another is
-// active record it as their parent. Completed spans land in two places: a
-// per-span-name latency histogram in the metrics registry
-// (apichecker_trace_<name>_ms) and a bounded in-memory TraceLog that the JSON
-// exporter can dump for offline timeline inspection.
+// Scoped timers. A ScopedTimer records the elapsed time of one scope into a
+// histogram the caller resolved once (a registered Histogram&), so the hot
+// path pays no by-name lookup. Request-scoped tracing across threads and
+// queues is obs/trace_collector.h.
 
 #ifndef APICHECKER_OBS_TRACE_H_
 #define APICHECKER_OBS_TRACE_H_
 
 #include <chrono>
 #include <cstdint>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 
 namespace apichecker::obs {
 
-// One finished span, as kept by the TraceLog.
-struct SpanRecord {
-  std::string name;
-  std::string parent;  // Empty for root spans.
-  uint32_t depth = 0;  // 0 = root.
-  uint64_t thread_hash = 0;
-  double start_ms = 0.0;  // Offset from process trace epoch.
-  double duration_ms = 0.0;
-};
-
-// Bounded, thread-safe buffer of finished spans (oldest dropped first).
-class TraceLog {
- public:
-  explicit TraceLog(size_t capacity = 4096) : capacity_(capacity) {}
-
-  static TraceLog& Default();
-
-  void Record(SpanRecord record);
-  std::vector<SpanRecord> Snapshot() const;
-  void Clear();
-  uint64_t dropped() const;
-  size_t capacity() const { return capacity_; }
-
- private:
-  size_t capacity_;
-  mutable std::mutex mu_;
-  std::vector<SpanRecord> records_;
-  uint64_t dropped_ = 0;
-};
-
-// RAII span. Records into MetricsRegistry::Default() + TraceLog::Default()
-// unless told otherwise. Spans must be destroyed in LIFO order per thread
-// (automatic with scoped usage).
-class TraceSpan {
- public:
-  explicit TraceSpan(std::string name,
-                     MetricsRegistry* registry = &MetricsRegistry::Default(),
-                     TraceLog* log = &TraceLog::Default());
-  ~TraceSpan();
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  const std::string& name() const { return name_; }
-  const TraceSpan* parent() const { return parent_; }
-  uint32_t depth() const { return depth_; }
-  double elapsed_ms() const;
-
-  // The innermost open span on this thread, or nullptr.
-  static const TraceSpan* Current();
-
- private:
-  std::string name_;
-  MetricsRegistry* registry_;
-  TraceLog* log_;
-  TraceSpan* parent_;
-  uint32_t depth_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-// RAII timer recording elapsed time into a histogram on destruction. Unlike
-// TraceSpan it has no nesting bookkeeping — use it for hot-path latencies.
+// RAII timer recording elapsed time into a histogram on destruction.
 class ScopedTimer {
  public:
   enum class Unit : uint8_t { kSeconds, kMillis, kMicros };
 
   explicit ScopedTimer(Histogram& histogram, Unit unit = Unit::kMillis);
-  ScopedTimer(MetricsRegistry& registry, std::string_view name, Unit unit = Unit::kMillis);
   ~ScopedTimer();
 
   ScopedTimer(const ScopedTimer&) = delete;

@@ -124,12 +124,12 @@ void TraceCollector::Record(uint64_t trace_id, StageSpan span) {
   if (it == stripe.open.end()) {
     // Dropped at birth, or a span racing in after Complete sealed the trace.
     spans_dropped_.fetch_add(1, std::memory_order_relaxed);
-    MetricsRegistry::Default().counter(names::kObsTraceSpansDroppedTotal).Increment();
+    MetricsRegistry::Default().counter(names::kObsStageSpansDroppedTotal).Increment();
     return;
   }
   it->second.spans.push_back(std::move(span));
   spans_recorded_.fetch_add(1, std::memory_order_relaxed);
-  MetricsRegistry::Default().counter(names::kObsTraceSpansTotal).Increment();
+  MetricsRegistry::Default().counter(names::kObsStageSpansTotal).Increment();
 }
 
 void TraceCollector::Complete(uint64_t trace_id, std::string status,

@@ -1,10 +1,10 @@
-// Request-scoped distributed tracing for the asynchronous vetting pipeline.
-// The PR-1 TraceSpan is thread-local — fine for a synchronous call tree,
-// useless once a submission hops from the submitter thread to a shard queue,
-// the scheduler thread, a farm-pool worker, and back through the async
-// resolution callbacks. A TraceContext is the piece that survives those hops:
-// a plain value (trace id + sampling decision) stamped onto the submission at
-// admission and carried by move/copy through every stage. Each stage records
+// Request-scoped distributed tracing for the asynchronous vetting pipeline,
+// and obs's one tracing path. A submission hops from the submitter thread to
+// a shard queue, the scheduler, a farm-pool worker, and back through the
+// async resolution callbacks, so a thread-local span stack cannot follow it.
+// A TraceContext is the piece that survives those hops: a plain value
+// (trace id + sampling decision) stamped onto the submission at admission
+// and carried by move/copy through every stage. Each stage records
 // a StageSpan (stage name, optional label such as the farm id, queue depth at
 // entry, fault flag) into the process-wide TraceCollector.
 //

@@ -17,9 +17,17 @@ namespace apichecker::rt {
 namespace {
 
 // Worker threads mark themselves so Post() from inside a task lands on the
-// poster's own run queue (locality) instead of the round-robin spray.
+// poster's own run queue (locality) instead of the round-robin spray. The
+// timer and poller threads set tls_runtime too, which exempts their posts
+// from the shutdown drop, but they are no worker: they keep kNoWorker and
+// post round-robin like any outside thread.
+constexpr size_t kNoWorker = SIZE_MAX;
 thread_local Runtime* tls_runtime = nullptr;
-thread_local size_t tls_worker = 0;
+thread_local size_t tls_worker = kNoWorker;
+
+bool OnWorkerOf(const Runtime* rt) {
+  return tls_runtime == rt && tls_worker != kNoWorker;
+}
 
 obs::Counter& TasksTotal() {
   static obs::Counter& c =
@@ -236,7 +244,7 @@ void Runtime::Post(Task task) {
     return;
   }
   size_t target;
-  if (tls_runtime == this) {
+  if (OnWorkerOf(this)) {
     target = tls_worker;
   } else {
     target = next_queue_.fetch_add(1, std::memory_order_relaxed) %
@@ -254,7 +262,7 @@ void Runtime::Post(Task task) {
 void Runtime::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
   // From one of our workers the caller is itself a worker, so one fewer
   // helper keeps the call at one participant per worker.
-  const size_t spare = workers_.size() - (tls_runtime == this ? 1 : 0);
+  const size_t spare = workers_.size() - (OnWorkerOf(this) ? 1 : 0);
   const size_t helpers = std::min(n == 0 ? 0 : n - 1, spare);
   auto state = std::make_shared<ParallelForState>(n, body);
   for (size_t h = 0; h < helpers; ++h) {
@@ -316,6 +324,7 @@ void Runtime::WorkerLoop(size_t index) {
     });
   }
   tls_runtime = nullptr;
+  tls_worker = kNoWorker;
 }
 
 void Runtime::NotifyWorkers() { wake_cv_.notify_all(); }

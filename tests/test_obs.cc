@@ -1,13 +1,16 @@
 // Unit tests for src/obs: counters, gauges, lock-striped histograms and
-// their quantiles, span tracing, scoped timers, exporters, the JSON
-// dump round-trip, the request-scoped TraceCollector, label escaping,
-// and the trace file writer.
+// their quantiles, scoped timers, exporters (the Prometheus text grammar and
+// the JSON dump round-trip), the request-scoped TraceCollector, label
+// escaping, and the trace file writer.
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -155,53 +158,6 @@ TEST(Metrics, StandardMetricsRegisteredInDefault) {
   EXPECT_EQ(reg.size(), before);
 }
 
-TEST(Trace, NestedSpansTrackParentage) {
-  MetricsRegistry registry;
-  TraceLog log(64);
-  EXPECT_EQ(TraceSpan::Current(), nullptr);
-  {
-    TraceSpan outer("outer", &registry, &log);
-    EXPECT_EQ(TraceSpan::Current(), &outer);
-    EXPECT_EQ(outer.depth(), 0u);
-    EXPECT_EQ(outer.parent(), nullptr);
-    {
-      TraceSpan inner("inner", &registry, &log);
-      EXPECT_EQ(TraceSpan::Current(), &inner);
-      EXPECT_EQ(inner.depth(), 1u);
-      ASSERT_NE(inner.parent(), nullptr);
-      EXPECT_EQ(inner.parent()->name(), "outer");
-    }
-    EXPECT_EQ(TraceSpan::Current(), &outer);
-  }
-  EXPECT_EQ(TraceSpan::Current(), nullptr);
-
-  const std::vector<SpanRecord> spans = log.Snapshot();
-  ASSERT_EQ(spans.size(), 2u);  // inner finished first.
-  EXPECT_EQ(spans[0].name, "inner");
-  EXPECT_EQ(spans[0].parent, "outer");
-  EXPECT_EQ(spans[0].depth, 1u);
-  EXPECT_EQ(spans[1].name, "outer");
-  EXPECT_EQ(spans[1].parent, "");
-  // Each span also landed in a per-name latency histogram.
-  EXPECT_EQ(registry.histogram("apichecker_trace_inner_ms").count(), 1u);
-  EXPECT_EQ(registry.histogram("apichecker_trace_outer_ms").count(), 1u);
-}
-
-TEST(Trace, LogDropsOldestWhenFull) {
-  TraceLog log(8);
-  for (int i = 0; i < 20; ++i) {
-    SpanRecord r;
-    r.name = "s" + std::to_string(i);
-    log.Record(std::move(r));
-  }
-  EXPECT_GT(log.dropped(), 0u);
-  const std::vector<SpanRecord> spans = log.Snapshot();
-  EXPECT_LE(spans.size(), log.capacity());
-  // The newest record always survives.
-  ASSERT_FALSE(spans.empty());
-  EXPECT_EQ(spans.back().name, "s19");
-}
-
 TEST(Trace, ScopedTimerRecordsOnce) {
   MetricsRegistry registry;
   Histogram& hist = registry.histogram("apichecker_test_timer_ms");
@@ -230,6 +186,76 @@ TEST(Export, PrometheusTextHasHelpTypeAndSamples) {
   EXPECT_NE(text.find("apichecker_test_ms_count 1"), std::string::npos);
 }
 
+TEST(Export, PrometheusTextGroupsLabeledSeriesByFamily) {
+  MetricsRegistry registry;
+  const char kAccepted[] = "apichecker_test_accepted_total";
+  registry.counter(kAccepted, "accepted").Increment(3);
+  registry.counter(LabeledSeriesName(kAccepted, "class", "bulk")).Increment(2);
+  registry.counter(LabeledSeriesName(kAccepted, "class", "interactive"), "by class")
+      .Increment(1);
+  const char kLatency[] = "apichecker_test_latency_ms";
+  const std::vector<double> bounds = Histogram::LinearBounds(1, 1, 2);
+  registry.histogram(kLatency, bounds, "latency").Observe(0.5);
+  registry.histogram(kLatency, bounds).Observe(5.0);
+  registry.histogram(LabeledSeriesName(kLatency, "size", "small"), bounds).Observe(0.5);
+  registry.histogram(LabeledSeriesName2(kLatency, "size", "large", "class", "bulk"), bounds)
+      .Observe(5.0);
+  // Sorts between its neighbour family's unlabeled and labeled series.
+  registry.gauge("apichecker_test_latency_ms_peak", "peak").Set(5.0);
+  const std::string text = ToPrometheusText(registry);
+
+  // The text exposition grammar, line by line.
+  const std::string name = "[a-zA-Z_:][a-zA-Z0-9_:]*";
+  const std::string label = R"re([a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")re";
+  const std::string value =
+      R"re([-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[-+]?Inf|NaN)re";
+  const std::regex help_line("# HELP (" + name + ") .*");
+  const std::regex type_line("# TYPE (" + name + ") (counter|gauge|histogram|summary|untyped)");
+  const std::regex sample_line("(" + name + ")(?:\\{" + label + "(?:," + label + ")*\\})? (?:" +
+                               value + ")");
+  std::map<std::string, int> types;
+  std::map<std::string, std::string> helps;
+  std::string family, kind;  // Of the latest # TYPE line.
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    std::smatch m;
+    if (std::regex_match(line, m, help_line)) {
+      EXPECT_EQ(types.count(m[1]), 0u) << "HELP after its family's TYPE: " << line;
+      helps[m[1]] = line;
+    } else if (std::regex_match(line, m, type_line)) {
+      family = m[1];
+      kind = m[2];
+      EXPECT_EQ(++types[family], 1) << "second TYPE line for a family: " << line;
+    } else {
+      ASSERT_TRUE(std::regex_match(line, m, sample_line)) << "not exposition grammar: " << line;
+      // A sample belongs to the family of the TYPE line above it, so each
+      // family's samples follow its one TYPE line and are contiguous.
+      const std::string sample = m[1];
+      EXPECT_TRUE(sample == family ||
+                  (kind == "histogram" && (sample == family + "_bucket" ||
+                                           sample == family + "_sum" ||
+                                           sample == family + "_count")))
+          << line << " is outside family " << family;
+    }
+  }
+  EXPECT_EQ(types, (std::map<std::string, int>{{kAccepted, 1},
+                                               {kLatency, 1},
+                                               {"apichecker_test_latency_ms_peak", 1}}));
+  EXPECT_EQ(helps[kAccepted], "# HELP apichecker_test_accepted_total accepted");
+  EXPECT_EQ(helps[kLatency], "# HELP apichecker_test_latency_ms latency");
+  for (const char* sample : {
+           "apichecker_test_accepted_total 3",
+           "apichecker_test_accepted_total{class=\"bulk\"} 2",
+           "apichecker_test_latency_ms_count 2",
+           "apichecker_test_latency_ms_bucket{size=\"small\",le=\"1\"} 1",
+           "apichecker_test_latency_ms_sum{size=\"small\"} 0.5",
+           "apichecker_test_latency_ms_bucket{size=\"large\",class=\"bulk\",le=\"+Inf\"} 1",
+           "apichecker_test_latency_ms_count{size=\"large\",class=\"bulk\"} 1",
+       }) {
+    EXPECT_NE(text.find(std::string(sample) + "\n"), std::string::npos) << sample << "\n" << text;
+  }
+}
+
 TEST(Export, JsonRoundTrip) {
   MetricsRegistry registry;
   registry.counter("apichecker_test_events_total").Increment(7);
@@ -238,12 +264,8 @@ TEST(Export, JsonRoundTrip) {
   for (int i = 1; i <= 100; ++i) {
     hist.Observe(static_cast<double>(i));
   }
-  TraceLog log(16);
-  {
-    TraceSpan span("roundtrip", &registry, &log);
-  }
 
-  const std::string json = ToJson(registry, &log);
+  const std::string json = ToJson(registry);
   auto parsed = ParseJsonDump(json);
   ASSERT_TRUE(parsed.ok()) << parsed.error();
   EXPECT_DOUBLE_EQ(parsed->counters.at("apichecker_test_events_total"), 7.0);
@@ -254,156 +276,11 @@ TEST(Export, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(h.min, 1.0);
   EXPECT_DOUBLE_EQ(h.max, 100.0);
   EXPECT_NEAR(h.quantiles.at("p50"), 50.5, 1.0);
-  EXPECT_EQ(parsed->num_spans, 1u);
-  // The roundtrip span's latency histogram also made it into the dump.
-  EXPECT_TRUE(parsed->histograms.count("apichecker_trace_roundtrip_ms"));
 }
 
 TEST(Export, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseJsonDump("not json").ok());
   EXPECT_FALSE(ParseJsonDump("{\"counters\": [1,2]").ok());
-}
-
-TEST(Export, PeriodicReporterFlushesAtLeastOnce) {
-  MetricsRegistry registry;
-  std::atomic<uint64_t> seen{0};
-  {
-    PeriodicReporter reporter(std::chrono::milliseconds(5),
-                              [&](const MetricsRegistry&) { seen.fetch_add(1); },
-                              registry);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    reporter.Stop();
-    EXPECT_GE(reporter.flush_count(), 1u);
-  }
-  EXPECT_GE(seen.load(), 1u);
-}
-
-TEST(Export, PeriodicReporterStopFlushesFinalInterval) {
-  // An interval far longer than the test: the loop never fires on its own, so
-  // the only flush is the one Stop() owes us. Counter increments made right
-  // before Stop() must be visible to that flush — the last partial interval
-  // is never dropped.
-  MetricsRegistry registry;
-  std::atomic<uint64_t> last_seen{0};
-  PeriodicReporter reporter(
-      std::chrono::hours(24),
-      [&](const MetricsRegistry&) {
-        last_seen.store(registry.counter("apichecker_test_final_total").value());
-      },
-      registry);
-  registry.counter("apichecker_test_final_total").Increment(7);
-  reporter.Stop();
-  EXPECT_EQ(reporter.flush_count(), 1u);
-  EXPECT_EQ(last_seen.load(), 7u);
-}
-
-TEST(Export, PeriodicReporterConcurrentStopNeverSkipsTheFinalFlush) {
-  // Two threads race Stop(). The loser must BLOCK until the winner's final
-  // flush has completed — neither caller may return while the last snapshot
-  // is still unwritten.
-  for (int round = 0; round < 20; ++round) {
-    MetricsRegistry registry;
-    std::atomic<uint64_t> flushes{0};
-    PeriodicReporter reporter(
-        std::chrono::hours(24),
-        [&](const MetricsRegistry&) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          flushes.fetch_add(1);
-        },
-        registry);
-    std::thread a([&] { reporter.Stop(); });
-    std::thread b([&] { reporter.Stop(); });
-    a.join();
-    b.join();
-    // Both callers returned => the single final flush must have run.
-    EXPECT_EQ(flushes.load(), 1u);
-  }
-}
-
-// Adapts an rt::Runtime into the reporter's TimerHost shape (what a unified-
-// runtime process passes so reporting costs zero threads).
-PeriodicReporter::TimerHost RuntimeHost(rt::Runtime& rt) {
-  return [&rt](std::chrono::milliseconds delay, std::function<void()> tick) {
-    rt::CancelToken token = rt.PostAfter(delay, std::move(tick));
-    if (!token.valid()) return PeriodicReporter::CancelFn{};
-    return PeriodicReporter::CancelFn([token]() mutable { return token.Cancel(); });
-  };
-}
-
-TEST(Export, TimerHostReporterFlushesAndReschedules) {
-  rt::Runtime rt(rt::RuntimeOptions{2});
-  MetricsRegistry registry;
-  std::atomic<uint64_t> seen{0};
-  {
-    PeriodicReporter reporter(std::chrono::milliseconds(5),
-                              [&](const MetricsRegistry&) { seen.fetch_add(1); },
-                              RuntimeHost(rt), registry);
-    // Several intervals must elapse: the tick has to re-arm itself.
-    while (seen.load() < 3) std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    reporter.Stop();
-    EXPECT_GE(reporter.flush_count(), 3u);
-  }
-  rt.Shutdown();
-}
-
-TEST(Export, TimerHostReporterStopOwesTheFinalFlush) {
-  // Interval far longer than the test: only Stop()'s flush runs, and it must
-  // see increments made right before Stop() — the last partial interval is
-  // never dropped, exactly as in thread mode.
-  rt::Runtime rt(rt::RuntimeOptions{2});
-  MetricsRegistry registry;
-  std::atomic<uint64_t> last_seen{0};
-  PeriodicReporter reporter(
-      std::chrono::hours(24),
-      [&](const MetricsRegistry&) {
-        last_seen.store(registry.counter("apichecker_test_final_total").value());
-      },
-      RuntimeHost(rt), registry);
-  registry.counter("apichecker_test_final_total").Increment(7);
-  reporter.Stop();
-  EXPECT_EQ(reporter.flush_count(), 1u);
-  EXPECT_EQ(last_seen.load(), 7u);
-  rt.Shutdown();
-}
-
-TEST(Export, TimerHostReporterConcurrentStopNeverSkipsTheFinalFlush) {
-  rt::Runtime rt(rt::RuntimeOptions{2});
-  for (int round = 0; round < 20; ++round) {
-    MetricsRegistry registry;
-    std::atomic<uint64_t> flushes{0};
-    PeriodicReporter reporter(
-        std::chrono::hours(24),
-        [&](const MetricsRegistry&) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          flushes.fetch_add(1);
-        },
-        RuntimeHost(rt), registry);
-    std::thread a([&] { reporter.Stop(); });
-    std::thread b([&] { reporter.Stop(); });
-    a.join();
-    b.join();
-    EXPECT_EQ(flushes.load(), 1u);
-  }
-  rt.Shutdown();
-}
-
-TEST(Export, TimerHostReporterRacingTickAndStop) {
-  // Tight interval + immediate Stop, many rounds: whichever way the
-  // cancel-vs-fire race lands, Stop must return promptly and exactly one
-  // final flush (plus any ticks that beat it) is recorded.
-  rt::Runtime rt(rt::RuntimeOptions{2});
-  for (int round = 0; round < 50; ++round) {
-    MetricsRegistry registry;
-    std::atomic<uint64_t> flushes{0};
-    PeriodicReporter reporter(std::chrono::milliseconds(1),
-                              [&](const MetricsRegistry&) { flushes.fetch_add(1); },
-                              RuntimeHost(rt), registry);
-    std::this_thread::sleep_for(std::chrono::microseconds(200 * (round % 10)));
-    reporter.Stop();
-    EXPECT_GE(flushes.load(), 1u);
-    EXPECT_EQ(reporter.flush_count(), flushes.load());
-  }
-  rt.Shutdown();
 }
 
 // ---------------------------------------------------------------------------

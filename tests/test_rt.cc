@@ -7,7 +7,8 @@
 // teardown). The ParallelFor tests pin its contract: each index once, the
 // call returns after all of them, the caller works alongside its helpers so
 // it completes when none ever start, and a late helper touches nothing of
-// its caller's. RtSoak carries the stress label for the TSan tier.
+// its caller's. Timer- and fd-fired tasks spread over every worker's run
+// queue. RtSoak carries the stress label for the TSan tier.
 
 #include <atomic>
 #include <chrono>
@@ -392,6 +393,82 @@ TEST(Runtime, ParallelForHelperStartingAfterItsCallerReturnedTouchesNothingOfIt)
   std::future<void> after_done = after.get_future();
   rt.Post([&after] { after.set_value(); });
   EXPECT_EQ(after_done.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+}
+
+// Posts `k` callbacks through `post_all` on a 2-worker runtime whose workers
+// are both parked in a task, waits until every returned token has fired, then
+// releases one worker and lets it run all `k` while the other stays parked.
+// Returns the tasks it stole meanwhile: exactly those that were queued on the
+// parked worker.
+uint64_t StealsWithOneWorkerReleased(
+    size_t k,
+    const std::function<std::vector<CancelToken>(Runtime&, std::atomic<size_t>&)>&
+        post_all) {
+  obs::Counter& steals =
+      obs::MetricsRegistry::Default().counter(obs::names::kRtStealsTotal);
+  Runtime rt(RuntimeOptions{.workers = 2});
+  std::promise<void> release[2];
+  std::atomic<int> parked{0};
+  for (std::promise<void>& gate : release) {
+    rt.Post([wait = gate.get_future().share(), &parked] {
+      parked.fetch_add(1);
+      wait.wait();
+    });
+  }
+  EXPECT_TRUE(WaitFor([&] { return parked.load() == 2; }));
+  std::atomic<size_t> ran{0};
+  const std::vector<CancelToken> tokens = post_all(rt, ran);
+  EXPECT_TRUE(WaitFor([&] {
+    for (const CancelToken& token : tokens) {
+      if (!token.fired()) return false;
+    }
+    return true;
+  }));
+  const uint64_t before = steals.value();
+  release[0].set_value();
+  EXPECT_TRUE(WaitFor([&] { return ran.load() == k; }));
+  const uint64_t stolen = steals.value() - before;
+  release[1].set_value();
+  return stolen;
+}
+
+TEST(Runtime, TimerAndFdCallbacksQueueRoundRobinAcrossWorkers) {
+  // The timer and poller threads are no worker: what they post spreads over
+  // the run queues like an outside thread's posts, so half of it waits on
+  // the parked worker's queue and the released worker steals exactly half.
+  constexpr size_t kTimers = 64;
+  EXPECT_EQ(StealsWithOneWorkerReleased(
+                kTimers,
+                [](Runtime& rt, std::atomic<size_t>& ran) {
+                  std::vector<CancelToken> tokens;
+                  for (size_t i = 0; i < kTimers; ++i) {
+                    tokens.push_back(
+                        rt.PostAfter(milliseconds(0), [&ran] { ran.fetch_add(1); }));
+                  }
+                  return tokens;
+                }),
+            kTimers / 2);
+
+  constexpr size_t kPipes = 32;
+  int fds[kPipes][2];
+  for (auto& pipe_fds : fds) {
+    ASSERT_EQ(pipe(pipe_fds), 0);
+    ASSERT_EQ(write(pipe_fds[1], "x", 1), 1);
+  }
+  EXPECT_EQ(StealsWithOneWorkerReleased(
+                kPipes,
+                [&fds](Runtime& rt, std::atomic<size_t>& ran) {
+                  std::vector<CancelToken> tokens;
+                  for (auto& pipe_fds : fds) {
+                    tokens.push_back(rt.PostFd(pipe_fds[0], [&ran] { ran.fetch_add(1); }));
+                  }
+                  return tokens;
+                }),
+            kPipes / 2);
+  for (auto& pipe_fds : fds) {
+    close(pipe_fds[0]);
+    close(pipe_fds[1]);
+  }
 }
 
 // Stress shape for the TSan tier: timers, strands, fd readiness, and plain

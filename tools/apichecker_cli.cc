@@ -47,7 +47,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
-#include "obs/trace.h"
 #include "obs/trace_collector.h"
 #include "serve/service.h"
 #include "store/verdict_store.h"
@@ -316,8 +315,7 @@ bool MaybeWriteMetrics(const CommonFlags& flags) {
   if (flags.metrics_out.empty()) {
     return true;
   }
-  auto written = obs::WriteMetricsFile(flags.metrics_out, obs::MetricsRegistry::Default(),
-                                       &obs::TraceLog::Default());
+  auto written = obs::WriteMetricsFile(flags.metrics_out, obs::MetricsRegistry::Default());
   if (!written.ok()) {
     std::fprintf(stderr, "metrics dump failed: %s\n", written.error().c_str());
     return false;
@@ -411,8 +409,6 @@ int CmdVet(const CommonFlags& flags) {
     std::fprintf(stderr, "vet: no .apk files given\n");
     return 2;
   }
-  obs::TraceSpan span("cli.vet");
-
   // Parse everything first, then run the parseable APKs as one device-farm
   // batch (the production shape: N emulators vetting a submission queue).
   int exit_code = 0;

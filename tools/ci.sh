@@ -106,6 +106,33 @@ print("ledger %s: %d accepted == %d resolved == %d e2e observations; "
 PYEOF
 }
 
+# Series names, read from one metrics JSON dump: the dump carries no `spans`
+# key, and every counter, gauge and histogram is named `family` or
+# `family{k="v",...}` with a legal Prometheus family name, so the same
+# registry renders as valid `.prom` text.
+check_names() {
+  python3 - "$1" <<'PYEOF'
+import json, re, sys
+path = sys.argv[1]
+metrics = json.load(open(path))
+LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"'
+SERIES = re.compile(r'[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{%s(?:,%s)*\})?' % (LABEL, LABEL))
+names = [name for kind in ("counters", "gauges", "histograms")
+         for name in metrics[kind]]
+bad = sorted(name for name in names if not SERIES.fullmatch(name))
+problems = []
+if "spans" in metrics:
+    problems.append("a spans key")
+if bad:
+    problems.append("%d series not named family or family{k=\"v\",...}: %s"
+                    % (len(bad), ", ".join(bad)))
+if problems:
+    raise SystemExit("%s: %s" % (path, "; ".join(problems)))
+print("names %s: %d series, all family or family{k=\"v\",...}"
+      % (path.rsplit("/", 1)[-1], len(names)))
+PYEOF
+}
+
 echo "=== tier-1: configure + build ==="
 cmake -B "$ROOT/build" -S "$ROOT" >/dev/null
 cmake --build "$ROOT/build" -j "$JOBS"
@@ -127,8 +154,53 @@ for series in apichecker_serve_submissions_total apichecker_serve_batches_total 
   grep -q "$series" "$SERVE_TMP/metrics.json" || {
     echo "missing metric series: $series"; exit 1; }
 done
+check_names "$SERVE_TMP/metrics.json"
 check_ledger "$SERVE_TMP/metrics.json"
-echo "serve smoke OK (metrics dump carries the apichecker_serve_* series)"
+# The same trace again with Prometheus text: one # HELP and one # TYPE per
+# family ahead of its samples, and every line in the exposition grammar.
+"$ROOT/build/tools/apichecker" serve --apps 60 --apis 8000 \
+  --model "$SERVE_TMP/model.bin" --metrics-out "$SERVE_TMP/metrics.prom" \
+  | grep "invariant accepted == resolved: OK"
+python3 - "$SERVE_TMP/metrics.prom" <<'PYEOF'
+import re, sys
+path = sys.argv[1]
+NAME = r'[a-zA-Z_:][a-zA-Z0-9_:]*'
+LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"'
+VALUE = r'[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[-+]?Inf|NaN'
+HELP = re.compile(r'# HELP (%s) .*' % NAME)
+TYPE = re.compile(r'# TYPE (%s) (counter|gauge|histogram|summary|untyped)' % NAME)
+SAMPLE = re.compile(r'(%s)(?:\{%s(?:,%s)*\})? (?:%s)' % (NAME, LABEL, LABEL, VALUE))
+types, family, kind, samples = {}, None, None, 0
+lines = open(path).read().split("\n")
+if lines[-1] == "":
+    lines.pop()
+for number, line in enumerate(lines, 1):
+    where = "%s:%d: %s" % (path, number, line)
+    match = HELP.fullmatch(line)
+    if match:
+        if match.group(1) in types:
+            raise SystemExit("HELP after its family's TYPE line: " + where)
+        continue
+    match = TYPE.fullmatch(line)
+    if match:
+        family, kind = match.groups()
+        if family in types:
+            raise SystemExit("second TYPE line for one family: " + where)
+        types[family] = kind
+        continue
+    match = SAMPLE.fullmatch(line)
+    if not match:
+        raise SystemExit("not Prometheus exposition grammar: " + where)
+    # A sample belongs to the family of the TYPE line above it, so each
+    # family's samples follow its one TYPE line and are contiguous.
+    suffixes = ["_bucket", "_sum", "_count"] if kind == "histogram" else []
+    if family is None or match.group(1) not in [family] + [family + s for s in suffixes]:
+        raise SystemExit("sample outside the family of its TYPE line: " + where)
+    samples += 1
+print("prom %s: %d families, %d samples, one TYPE per family, all lines valid"
+      % (path.rsplit("/", 1)[-1], len(types), samples))
+PYEOF
+echo "serve smoke OK (metrics dump carries the apichecker_serve_* series; .prom text is valid)"
 
 echo "=== stress: fault-injected multi-farm serve smoke ==="
 # 3 farms with a 20% per-batch fault rate: the pool must retry faulted batches
@@ -146,6 +218,7 @@ grep -q '"apichecker_serve_farm_retries_total": [1-9]' "$SERVE_TMP/metrics-fault
   echo "farm faults were not retried"; exit 1; }
 grep -q '"apichecker_emu_farm_injected_faults_total": [1-9]' "$SERVE_TMP/metrics-faulted.json" || {
   echo "missing emu-level injected-fault accounting"; exit 1; }
+check_names "$SERVE_TMP/metrics-faulted.json"
 check_ledger "$SERVE_TMP/metrics-faulted.json"
 echo "fault smoke OK (faults injected, failover retries observed, zero lost)"
 
@@ -162,6 +235,7 @@ grep -q "invariant accepted == resolved: OK" "$SERVE_TMP/fabric-serve.out" || {
   echo "fabric serve lost submissions"; cat "$SERVE_TMP/fabric-serve.out"; exit 1; }
 grep -q "SIGKILLed worker" "$SERVE_TMP/fabric-serve.out" || {
   echo "fabric smoke never killed a worker"; exit 1; }
+check_names "$SERVE_TMP/metrics-fabric.json"
 check_ledger "$SERVE_TMP/metrics-fabric.json"
 python3 - "$SERVE_TMP/metrics-fabric.json" <<'PYEOF'
 import json, sys
@@ -208,6 +282,7 @@ grep -q '"apichecker_store_recovered_records_total": [1-9]' "$SERVE_TMP/metrics-
   echo "restart recovered no records from the verdict store"; exit 1; }
 grep -q '"apichecker_store_warm_start_hits_total": [1-9]' "$SERVE_TMP/metrics-restart.json" || {
   echo "warm-started cache produced no hits after restart"; exit 1; }
+check_names "$SERVE_TMP/metrics-restart.json"
 check_ledger "$SERVE_TMP/metrics-restart.json"
 echo "store restart smoke OK (records recovered, warm-start hits observed)"
 
@@ -246,6 +321,7 @@ if large > bound:
     raise SystemExit("large-APK admission p99 %.4f ms exceeds 2x small (%.4f ms): "
                      "Submit() is scaling with APK size" % (large, bound))
 PYEOF
+check_names "$SERVE_TMP/metrics-ingest.json"
 check_ledger "$SERVE_TMP/metrics-ingest.json"
 echo "ingest smoke OK (large-APK admission p99 within 2x of small)"
 
@@ -293,6 +369,7 @@ print("storm: shed bulk=%d rescan=%d interactive=%d; interactive p99 %.1f ms; "
          count('apichecker_serve_shed_total{class="rescan"}'),
          shed_interactive, p99, spilled))
 PYEOF
+check_names "$SERVE_TMP/metrics-storm.json"
 check_ledger "$SERVE_TMP/metrics-storm.json"
 echo "storm smoke OK (bulk shed, interactive protected, SLO held, blobs spilled)"
 
@@ -347,6 +424,7 @@ for name in ["stage_submit", "stage_queue_wait", "stage_batch_linger",
 print("stage histograms: all 7 stages + admission/e2e/traced e2e observed, "
       "quantiles finite")
 PYEOF
+check_names "$SERVE_TMP/metrics-trace.json"
 check_ledger "$SERVE_TMP/metrics-trace.json"
 # Overwrite protection: a rerun against the existing trace file must refuse
 # without --force and succeed with it.
@@ -450,6 +528,7 @@ print("gateway: %d accepted == %d completed + %d aborted; %d slow-loris "
          count("apichecker_gateway_connections_total"),
          count("apichecker_gateway_bytes_received_total")))
 PYEOF
+check_names "$SERVE_TMP/metrics-gateway.json"
 check_ledger "$SERVE_TMP/metrics-gateway.json"
 echo "gateway smoke OK (slow-loris evicted, mid-upload kill absorbed, drain invariant held)"
 
@@ -509,7 +588,9 @@ if many > few + 2:
                      "clients vs %d at 2 (allowance +2)" % (many, few))
 print("thread gate: peak %d threads at 2 clients, %d at 8 — flat" % (few, many))
 PYEOF
+check_names "$SERVE_TMP/metrics-threads-2.json"
 check_ledger "$SERVE_TMP/metrics-threads-2.json"
+check_names "$SERVE_TMP/metrics-threads-8.json"
 check_ledger "$SERVE_TMP/metrics-threads-8.json"
 echo "thread gate OK (process thread peak flat as upload clients quadruple)"
 

@@ -1,6 +1,7 @@
 #include "apk/apk.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "apk/zip.h"
 #include "util/rng.h"
@@ -9,13 +10,19 @@
 namespace apichecker::apk {
 
 std::string ContentDigest(std::span<const uint8_t> bytes) {
+  return ContentDigest(bytes, {});
+}
+
+std::string ContentDigest(std::span<const uint8_t> first, std::span<const uint8_t> second) {
   // Two independent 64-bit mixing chains give a 128-bit digest. Not
   // cryptographic — it plays MD5's *identity* role, not a security role.
   uint64_t a = 0x6a09e667f3bcc908ull;
   uint64_t b = 0xbb67ae8584caa73bull;
-  for (uint8_t byte : bytes) {
-    a = util::SplitMix64(a ^ byte);
-    b = util::SplitMix64(b + (static_cast<uint64_t>(byte) << 1 | 1));
+  for (std::span<const uint8_t> part : {first, second}) {
+    for (uint8_t byte : part) {
+      a = util::SplitMix64(a ^ byte);
+      b = util::SplitMix64(b + (static_cast<uint64_t>(byte) << 1 | 1));
+    }
   }
   return util::StrFormat("%016llx%016llx", static_cast<unsigned long long>(a),
                          static_cast<unsigned long long>(b));
@@ -43,9 +50,7 @@ std::vector<uint8_t> BuildApk(const Manifest& manifest, const DexFile& dex,
   const std::vector<uint8_t> dex_bytes = EncodeDex(dex);
 
   // Digest covers the code-bearing entries, like a real signature digest.
-  std::vector<uint8_t> digest_input = manifest_bytes;
-  digest_input.insert(digest_input.end(), dex_bytes.begin(), dex_bytes.end());
-  const std::string digest = ContentDigest(digest_input);
+  const std::string digest = ContentDigest(manifest_bytes, dex_bytes);
 
   ZipWriter writer;
   writer.AddEntry(kManifestEntry, manifest_bytes);
@@ -60,37 +65,45 @@ std::vector<uint8_t> BuildApk(const Manifest& manifest, const DexFile& dex,
 }
 
 util::Result<ApkFile> ParseApk(std::span<const uint8_t> bytes) {
-  auto zip = ZipReader::Parse(bytes);
+  // The entries are views into `bytes`; everything the ApkFile keeps is
+  // copied out of them by the manifest and dex codecs.
+  auto zip = ViewZipEntries(bytes);
   if (!zip.ok()) {
     return util::Err("apk container: " + zip.error());
   }
+  auto find = [&](std::string_view name) -> const ZipEntryView* {
+    for (const ZipEntryView& entry : *zip) {
+      if (entry.name == name) {
+        return &entry;
+      }
+    }
+    return nullptr;
+  };
 
-  const std::vector<uint8_t>* manifest_bytes = zip->Find(kManifestEntry);
-  if (manifest_bytes == nullptr) {
+  const ZipEntryView* manifest_entry = find(kManifestEntry);
+  if (manifest_entry == nullptr) {
     return util::Err("apk missing AndroidManifest.xml");
   }
-  const std::vector<uint8_t>* dex_bytes = zip->Find(kDexEntry);
-  if (dex_bytes == nullptr) {
+  const ZipEntryView* dex_entry = find(kDexEntry);
+  if (dex_entry == nullptr) {
     return util::Err("apk missing classes.dex");
   }
-  const std::vector<uint8_t>* signature_bytes = zip->Find(kSignatureEntry);
-  if (signature_bytes == nullptr) {
+  const ZipEntryView* signature_entry = find(kSignatureEntry);
+  if (signature_entry == nullptr) {
     return util::Err("apk missing signature entry");
   }
 
-  auto manifest = ParseManifest(*manifest_bytes);
+  auto manifest = ParseManifest(manifest_entry->data);
   if (!manifest.ok()) {
     return util::Err("apk manifest: " + manifest.error());
   }
-  auto dex = ParseDex(*dex_bytes);
+  auto dex = ParseDex(dex_entry->data);
   if (!dex.ok()) {
     return util::Err("apk dex: " + dex.error());
   }
 
-  std::vector<uint8_t> digest_input = *manifest_bytes;
-  digest_input.insert(digest_input.end(), dex_bytes->begin(), dex_bytes->end());
-  const std::string expected_digest = ContentDigest(digest_input);
-  const std::string stored_digest(signature_bytes->begin(), signature_bytes->end());
+  const std::string expected_digest = ContentDigest(manifest_entry->data, dex_entry->data);
+  const std::string stored_digest(signature_entry->data.begin(), signature_entry->data.end());
   if (stored_digest != expected_digest) {
     return util::Err("apk signature digest mismatch");
   }
@@ -98,7 +111,7 @@ util::Result<ApkFile> ParseApk(std::span<const uint8_t> bytes) {
   ApkFile apk;
   apk.manifest = std::move(*manifest);
   apk.dex = std::move(*dex);
-  apk.has_native_lib = zip->Find(kNativeLibEntry) != nullptr;
+  apk.has_native_lib = find(kNativeLibEntry) != nullptr;
   apk.digest = stored_digest;
   return apk;
 }

@@ -32,6 +32,9 @@ struct ApkFile {
 
 // 128-bit content digest rendered as 32 hex chars.
 std::string ContentDigest(std::span<const uint8_t> bytes);
+// The digest of `first` followed by `second`, without concatenating them: an
+// APK's signature digest covers its manifest then its dex.
+std::string ContentDigest(std::span<const uint8_t> first, std::span<const uint8_t> second);
 
 // Serializes the package into APK (ZIP) bytes. When `include_native_lib` is
 // set a small ARM-flavoured stub library is embedded (its presence is what

@@ -86,7 +86,7 @@ std::vector<uint8_t> ZipWriter::Finish() {
   return std::move(payload_);
 }
 
-util::Result<ZipReader> ZipReader::Parse(std::span<const uint8_t> bytes) {
+util::Result<std::vector<ZipEntryView>> ViewZipEntries(std::span<const uint8_t> bytes) {
   // EOCD is 22 bytes when the comment is empty; scan backwards for the
   // signature to tolerate trailing comments.
   if (bytes.size() < 22) {
@@ -125,7 +125,7 @@ util::Result<ZipReader> ZipReader::Parse(std::span<const uint8_t> bytes) {
     return util::Err("zero-entry archive");
   }
 
-  ZipReader reader;
+  std::vector<ZipEntryView> entries;
   util::ByteReader central(bytes.subspan(*central_offset, *central_size));
   for (uint16_t i = 0; i < *total_entries; ++i) {
     auto sig = central.ReadU32();
@@ -155,11 +155,11 @@ util::Result<ZipReader> ZipReader::Parse(std::span<const uint8_t> bytes) {
     if (*method != kMethodStored) {
       return util::Err("unsupported compression method");
     }
-    auto name_bytes = central.ReadBytes(*name_len);
+    auto name_bytes = central.ReadSpan(*name_len);
     if (!name_bytes.ok()) {
       return util::Err("truncated entry name");
     }
-    auto skipped = central.ReadBytes(static_cast<size_t>(*extra_len) + *comment_len);
+    auto skipped = central.ReadSpan(static_cast<size_t>(*extra_len) + *comment_len);
     if (!skipped.ok()) {
       return util::Err("truncated entry extra/comment");
     }
@@ -186,12 +186,12 @@ util::Result<ZipReader> ZipReader::Parse(std::span<const uint8_t> bytes) {
     if (!local_name_len.ok() || !local_extra_len.ok()) {
       return util::Err("truncated local header");
     }
-    auto local_name = local.ReadBytes(*local_name_len);
-    auto local_extra = local.ReadBytes(*local_extra_len);
+    auto local_name = local.ReadSpan(*local_name_len);
+    auto local_extra = local.ReadSpan(*local_extra_len);
     if (!local_name.ok() || !local_extra.ok()) {
       return util::Err("truncated local header name");
     }
-    auto data = local.ReadBytes(*uncomp_size);
+    auto data = local.ReadSpan(*uncomp_size);
     if (!data.ok()) {
       return util::Err("truncated entry data");
     }
@@ -200,10 +200,23 @@ util::Result<ZipReader> ZipReader::Parse(std::span<const uint8_t> bytes) {
                        std::string(name_bytes->begin(), name_bytes->end()) + "'");
     }
 
-    ZipEntry entry;
-    entry.name.assign(name_bytes->begin(), name_bytes->end());
-    entry.data = std::move(*data);
-    reader.entries_.push_back(std::move(entry));
+    entries.push_back({std::string_view(reinterpret_cast<const char*>(name_bytes->data()),
+                                        name_bytes->size()),
+                       *data});
+  }
+  return entries;
+}
+
+util::Result<ZipReader> ZipReader::Parse(std::span<const uint8_t> bytes) {
+  auto views = ViewZipEntries(bytes);
+  if (!views.ok()) {
+    return util::Err(views.error());
+  }
+  ZipReader reader;
+  reader.entries_.reserve(views->size());
+  for (const ZipEntryView& view : *views) {
+    reader.entries_.push_back(
+        {std::string(view.name), std::vector<uint8_t>(view.data.begin(), view.data.end())});
   }
   return reader;
 }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -41,9 +42,22 @@ struct ZipEntry {
   std::vector<uint8_t> data;
 };
 
+// One entry viewed in place: both fields point into the archive bytes and
+// are valid only as long as those are.
+struct ZipEntryView {
+  std::string_view name;
+  std::span<const uint8_t> data;
+};
+
+// Walks and validates the whole archive (EOCD, central directory, local
+// headers, every entry's CRC) without copying an entry, and returns the
+// entries in central-directory order. Every check the reader makes lives
+// here; ZipReader::Parse copies out of it.
+util::Result<std::vector<ZipEntryView>> ViewZipEntries(std::span<const uint8_t> bytes);
+
 class ZipReader {
  public:
-  // Parses and CRC-validates the whole archive.
+  // Parses and CRC-validates the whole archive, copying every entry.
   static util::Result<ZipReader> Parse(std::span<const uint8_t> bytes);
 
   const std::vector<ZipEntry>& entries() const { return entries_; }

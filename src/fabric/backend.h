@@ -1,8 +1,10 @@
-// FarmBackend: the batch-execution edge the serve::FarmPool dispatch threads
-// call. Two implementations exist — LocalFarmBackend wraps an in-process
-// emu::DeviceFarm (the pre-fabric behavior, still the default), and
-// RemoteFarmClient (remote_client.h) speaks the fabric protocol to an
-// `apichecker farm` worker process. The pool's least-loaded routing, digest
+// FarmBackend: the batch-execution edge the serve::FarmPool dispatch tasks
+// call. A batch arrives as its members' APK container bytes, and the backend
+// parses them: LocalFarmBackend wraps an in-process emu::DeviceFarm (the
+// pre-fabric behavior, still the default) whose one fan-out parses and
+// emulates each member, and RemoteFarmClient (remote_client.h) parses every
+// member, then ships the ones that parsed to an `apichecker farm` worker
+// process over the fabric protocol. The pool's least-loaded routing, digest
 // affinity, circuit breakers, and bounded failover operate on this interface
 // and cannot tell the two apart, except that a remote backend additionally
 // reports connection-health transitions so the breaker can open on a dead
@@ -18,7 +20,6 @@
 #include <string>
 
 #include "android/api_universe.h"
-#include "apk/apk.h"
 #include "core/checker.h"
 #include "emu/farm.h"
 #include "rt/runtime.h"
@@ -41,13 +42,18 @@ class FarmBackend {
 
   virtual ~FarmBackend() = default;
 
-  // Executes one batch. `model_version`/`checker` describe the serving model
-  // snapshot the batch was formed under (a remote backend ships the model to
-  // its worker when the version changes); `tracked` is the hook set derived
-  // from that same snapshot. Failures are in-band: a fault result with
-  // farm_fault set (and transport_fault for connection failures), never an
-  // exception — the pool's failover path predates the fabric and stays as-is.
-  virtual emu::BatchResult ExecuteBatch(std::span<const apk::ApkFile> apks,
+  // Executes one batch of APK container bytes. Every member is parsed (and
+  // timed into apichecker_ingest_parse_stage_ms) before a fault can fire, so
+  // parse_errors names each member that failed to parse even in a faulted
+  // result; reports are index-addressed like the input. A batch in which no
+  // member parses runs nothing and never faults. `model_version`/`checker`
+  // describe the serving model snapshot the batch was formed under (a remote
+  // backend ships the model to its worker when the version changes);
+  // `tracked` is the hook set derived from that same snapshot. Failures are
+  // in-band: a fault result with farm_fault set (and transport_fault for
+  // connection failures), never an exception — the pool's failover path
+  // predates the fabric and stays as-is.
+  virtual emu::BatchResult ExecuteBatch(std::span<const std::span<const uint8_t>> members,
                                         uint32_t model_version,
                                         const core::ApiChecker& checker,
                                         const emu::TrackedApiSet& tracked) = 0;
@@ -77,12 +83,12 @@ class LocalFarmBackend : public FarmBackend {
                    rt::Runtime* runtime = nullptr)
       : farm_(universe, std::move(config), runtime) {}
 
-  emu::BatchResult ExecuteBatch(std::span<const apk::ApkFile> apks, uint32_t model_version,
-                                const core::ApiChecker& checker,
+  emu::BatchResult ExecuteBatch(std::span<const std::span<const uint8_t>> members,
+                                uint32_t model_version, const core::ApiChecker& checker,
                                 const emu::TrackedApiSet& tracked) override {
     (void)model_version;
     (void)checker;
-    return farm_.RunBatch(apks, tracked);
+    return farm_.RunBatchBytes(members, tracked);
   }
 
   const char* kind() const override { return "local"; }

@@ -3,11 +3,14 @@
 #include <unistd.h>
 
 #include <utility>
+#include <vector>
 
+#include "apk/apk.h"
 #include "core/model_store.h"
 #include "fabric/messages.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
+#include "obs/trace.h"
 #include "util/strings.h"
 
 namespace apichecker::fabric {
@@ -23,6 +26,7 @@ RemoteFarmClient::RemoteFarmClient(const android::ApiUniverse& universe,
     : universe_(universe),
       config_(std::move(config)),
       universe_checksum_(UniverseChecksum(universe)),
+      parse_ms_(obs::MetricsRegistry::Default().histogram(obs::names::kIngestParseStageMs)),
       backoff_(config_.reconnect_backoff_min) {
   auto endpoint = ParseEndpoint(config_.endpoint);
   if (endpoint.ok()) {
@@ -320,11 +324,46 @@ emu::BatchResult RemoteFarmClient::TransportFault(const std::shared_ptr<Conn>& c
   return result;
 }
 
-emu::BatchResult RemoteFarmClient::ExecuteBatch(std::span<const apk::ApkFile> apks,
-                                                uint32_t model_version,
-                                                const core::ApiChecker& checker,
-                                                const emu::TrackedApiSet& tracked) {
+emu::BatchResult RemoteFarmClient::ExecuteBatch(
+    std::span<const std::span<const uint8_t>> members, uint32_t model_version,
+    const core::ApiChecker& checker, const emu::TrackedApiSet& tracked) {
   (void)tracked;  // The worker derives its own hook set from the shipped model.
+  // Parse every member before the connection is even looked at, so a faulted
+  // result still names each member that failed to parse. The members that
+  // parsed are re-encoded from their parsed form, as the worker expects.
+  std::vector<std::string> parse_errors(members.size());
+  std::vector<size_t> sent;  // Input index of each request entry.
+  RunBatchRequest request;
+  request.model_version = model_version;
+  for (size_t i = 0; i < members.size(); ++i) {
+    auto apk = [&] {
+      obs::ScopedTimer timer(parse_ms_);
+      return apk::ParseApk(members[i]);
+    }();
+    if (!apk.ok()) {
+      parse_errors[i] = apk.error();
+      continue;
+    }
+    request.apks.push_back(apk::BuildApk(apk->manifest, apk->dex, apk->has_native_lib));
+    sent.push_back(i);
+  }
+
+  // Nothing parsed: nothing to run, and no RPC.
+  emu::BatchResult result = sent.empty() ? emu::BatchResult{} : RunOnWorker(request, checker);
+  if (!result.farm_fault) {
+    std::vector<emu::EmulationReport> reports(members.size());
+    for (size_t j = 0; j < sent.size(); ++j) {
+      reports[sent[j]] = std::move(result.reports[j]);
+    }
+    result.reports = std::move(reports);
+  }
+  result.parse_errors = std::move(parse_errors);
+  return result;
+}
+
+emu::BatchResult RemoteFarmClient::RunOnWorker(const RunBatchRequest& request,
+                                               const core::ApiChecker& checker) {
+  const uint32_t model_version = request.model_version;
   std::shared_ptr<Conn> conn;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -366,12 +405,6 @@ emu::BatchResult RemoteFarmClient::ExecuteBatch(std::span<const apk::ApkFile> ap
     registry.counter(obs::names::kFabricModelSyncsTotal).Increment();
   }
 
-  RunBatchRequest request;
-  request.model_version = model_version;
-  request.apks.reserve(apks.size());
-  for (const auto& apk : apks) {
-    request.apks.push_back(apk::BuildApk(apk.manifest, apk.dex, apk.has_native_lib));
-  }
   auto sent = conn->rpc.SendFrame(MsgType::kRunBatch, EncodeRunBatch(request));
   if (!sent.ok()) return TransportFault(conn, "fabric: run_batch send: " + sent.error());
   auto frame = conn->rpc.RecvFrame();
@@ -395,10 +428,10 @@ emu::BatchResult RemoteFarmClient::ExecuteBatch(std::span<const apk::ApkFile> ap
   if (!result.ok()) {
     return TransportFault(conn, "fabric: malformed batch_result: " + result.error());
   }
-  if (result->reports.size() != apks.size() && !result->farm_fault) {
+  if (result->reports.size() != request.apks.size() && !result->farm_fault) {
     return TransportFault(conn,
                           util::StrFormat("fabric: report count mismatch: sent %zu, got %zu",
-                                          apks.size(), result->reports.size()));
+                                          request.apks.size(), result->reports.size()));
   }
   const double rpc_ms =
       MillisDouble(std::chrono::steady_clock::now() - rpc_start).count();

@@ -37,6 +37,7 @@
 #include "fabric/backend.h"
 #include "fabric/messages.h"
 #include "fabric/transport.h"
+#include "obs/metrics.h"
 #include "rt/runtime.h"
 
 namespace apichecker::fabric {
@@ -65,8 +66,8 @@ class RemoteFarmClient : public FarmBackend {
                    rt::Runtime* runtime = nullptr);
   ~RemoteFarmClient() override;
 
-  emu::BatchResult ExecuteBatch(std::span<const apk::ApkFile> apks, uint32_t model_version,
-                                const core::ApiChecker& checker,
+  emu::BatchResult ExecuteBatch(std::span<const std::span<const uint8_t>> members,
+                                uint32_t model_version, const core::ApiChecker& checker,
                                 const emu::TrackedApiSet& tracked) override;
 
   void SetHealthListener(HealthListener listener) override;
@@ -115,11 +116,15 @@ class RemoteFarmClient : public FarmBackend {
   // listener once per connection.
   void MarkLost(const std::shared_ptr<Conn>& conn, const std::string& reason);
   emu::BatchResult TransportFault(const std::shared_ptr<Conn>& conn, std::string reason);
+  // Ships `request` (model first when this connection lacks its version) and
+  // returns the worker's result, one report per request entry.
+  emu::BatchResult RunOnWorker(const RunBatchRequest& request, const core::ApiChecker& checker);
 
   const android::ApiUniverse& universe_;
   RemoteClientConfig config_;
   Endpoint endpoint_;
   uint64_t universe_checksum_ = 0;
+  obs::Histogram& parse_ms_;  // One observation per ExecuteBatch member.
   std::unique_ptr<rt::Runtime> owned_runtime_;  // Only when none was passed.
   rt::Runtime* rt_ = nullptr;
 

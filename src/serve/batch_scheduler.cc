@@ -233,9 +233,9 @@ void BatchScheduler::ExecuteBatch(std::vector<PendingSubmission> batch) {
 
   // Triage on the scheduler strand: expired deadlines and digest-cache hits
   // resolve without touching an emulator; byte-identical members of the same
-  // batch emulate once. Parsing is NOT done here — the pool's first worker to
-  // pick the batch up runs it (off the scheduler, off the submitter), so the
-  // scheduler goes straight back to assembling the next batch.
+  // batch emulate once. Parsing is NOT done here — the farm parses each member
+  // in the fan-out that emulates it (off the scheduler, off the submitter), so
+  // the scheduler goes straight back to assembling the next batch.
   std::vector<ingest::ApkBlob> blobs;  // One per slot leader; refcount bumps only.
   std::unordered_map<std::string, size_t> digest_to_slot;
 
@@ -275,10 +275,11 @@ void BatchScheduler::ExecuteBatch(std::vector<PendingSubmission> batch) {
     return;
   }
 
-  // Hand the blobs to the pool; the parse stage and classification both
-  // happen on the pool worker that picks the batch up. Affinity-hash the
-  // first leader's digest so byte-similar traffic prefers the same farm when
-  // loads tie. Slot index s == blob index s in the vector handed to the pool.
+  // Hand the blobs to the pool; the farm that runs the batch parses them, and
+  // classification happens on the pool worker it completes on. Affinity-hash
+  // the first leader's digest so byte-similar traffic prefers the same farm
+  // when loads tie. Slot index s == blob index s in the vector handed to the
+  // pool.
   const uint64_t affinity =
       std::hash<std::string>{}(state->batch[state->slots.front().leader].digest());
   std::vector<obs::TraceContext> slot_traces;

@@ -15,13 +15,14 @@
 //
 // Emulation routes through a FarmPool: triage (deadline expiry, digest-cache
 // hits, in-batch dedup) runs on the scheduler strand over blob handles only —
-// APK parsing is the pool's pipelined parse stage, run by the first worker
-// that dequeues the batch, so neither the submitter nor the scheduler ever
-// blocks on ZIP/dex decoding. Parse failures fast-fail with kParseError from
-// the worker; the rest are emulated and classified asynchronously when their
-// farm finishes — so M farms stay busy while the scheduler assembles the next
-// batch. A pool-level failure (all farms down, retry budget exhausted)
-// resolves every member with kRejectedUnhealthy rather than dropping it.
+// APK parsing happens in the farm's fan-out, where each member is parsed and
+// emulated by one runtime task, so neither the submitter nor the scheduler
+// ever blocks on ZIP/dex decoding. Parse failures resolve with kParseError
+// once the batch's first farm attempt returns; the rest are classified
+// asynchronously when their farm finishes — so M farms stay busy while the
+// scheduler assembles the next batch. A pool-level failure (all farms down,
+// retry budget exhausted) resolves every member with kRejectedUnhealthy
+// rather than dropping it.
 // Every member leaves through the ResolutionLedger, whichever path it took.
 // Acquires one model snapshot per batch, so hot-swaps take effect at the next
 // batch boundary and a batch is never classified by two different models.

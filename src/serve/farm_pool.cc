@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <utility>
 
 #include "obs/labels.h"
@@ -318,40 +320,6 @@ void FarmPool::OnBackendHealth(size_t farm_index, fabric::FarmBackend::Health he
   }
 }
 
-std::vector<size_t> FarmPool::PoolBatch::AffectedIndices() const {
-  if (parsed) {
-    return emulated;
-  }
-  std::vector<size_t> all(total_items);
-  for (size_t i = 0; i < total_items; ++i) {
-    all[i] = i;
-  }
-  return all;
-}
-
-void FarmPool::ParseStage(PoolBatch& batch) {
-  obs::Histogram& parse_ms = obs::MetricsRegistry::Default().histogram(
-      obs::names::kIngestParseStageMs);
-  batch.apks.reserve(batch.blobs.size());
-  for (size_t i = 0; i < batch.blobs.size(); ++i) {
-    const Clock::time_point start = Clock::now();
-    auto parsed = apk::ParseApk(batch.blobs[i].bytes());
-    parse_ms.Observe(
-        std::chrono::duration<double, std::milli>(Clock::now() - start).count());
-    if (parsed.ok()) {
-      batch.apks.push_back(std::move(*parsed));
-      batch.emulated.push_back(i);
-    } else if (batch.on_parse_error) {
-      batch.on_parse_error(i, parsed.error());
-    }
-  }
-  batch.parsed = true;
-  // The bytes are never needed again (retries reuse the parsed ApkFiles);
-  // release the blob references so the pool stops pinning them.
-  batch.blobs.clear();
-  batch.blobs.shrink_to_fit();
-}
-
 bool FarmPool::Submit(std::vector<ingest::ApkBlob> blobs,
                       std::shared_ptr<const ModelSnapshot> snapshot,
                       uint64_t affinity, CompleteFn on_complete, RejectFn on_reject,
@@ -359,7 +327,8 @@ bool FarmPool::Submit(std::vector<ingest::ApkBlob> blobs,
                       std::vector<obs::TraceContext> traces) {
   auto batch = std::make_unique<PoolBatch>();
   batch->blobs = std::move(blobs);
-  batch->total_items = batch->blobs.size();
+  batch->pending.resize(batch->blobs.size());
+  std::iota(batch->pending.begin(), batch->pending.end(), size_t{0});
   batch->snapshot = std::move(snapshot);
   batch->affinity = affinity;
   batch->tried.assign(backends_.size(), 0);
@@ -395,7 +364,7 @@ bool FarmPool::Submit(std::vector<ingest::ApkBlob> blobs,
     // The per-submission rejected_unhealthy metric is the caller's to count
     // (the pool only sees batches); we track batch-level rejects in stats().
     // Nothing parsed yet, so every index is affected.
-    reject_now(PoolRejectReason::kNoHealthyFarms, batch->AffectedIndices());
+    reject_now(PoolRejectReason::kNoHealthyFarms, batch->pending);
     return true;
   }
   return true;
@@ -419,16 +388,44 @@ void FarmPool::RunFarm(size_t farm_index) {
     lock.unlock();
     const Clock::time_point attempt_start = Clock::now();
 
-    // Parse stage (first attempt only): the blobs become ApkFiles here, on a
-    // pool worker — never on the submitter or scheduler thread. Failover
-    // retries reuse the cached parse.
-    if (!batch->parsed) {
-      ParseStage(*batch);
+    // The backend parses the pending members (locally, in the same fan-out
+    // that emulates them) and names the ones that failed to parse.
+    std::vector<std::span<const uint8_t>> members;
+    members.reserve(batch->pending.size());
+    for (size_t index : batch->pending) {
+      members.push_back(batch->blobs[index].bytes());
+    }
+    emu::BatchResult result = backends_[farm_index]->ExecuteBatch(
+        members, batch->snapshot->version, batch->snapshot->checker,
+        batch->snapshot->tracked);
+
+    // Parse failures resolve now, whether or not the attempt faulted. Parsing
+    // is deterministic, so only the first attempt names any, and a retry
+    // carries only the members that parsed. The reports shrink to match, so
+    // result.reports[j] belongs to pending[j] as on_complete expects.
+    size_t kept = 0;
+    for (size_t j = 0; j < batch->pending.size(); ++j) {
+      if (j < result.parse_errors.size() && !result.parse_errors[j].empty()) {
+        if (batch->on_parse_error) {
+          batch->on_parse_error(batch->pending[j], result.parse_errors[j]);
+        }
+        continue;
+      }
+      if (!result.farm_fault && kept != j) {
+        result.reports[kept] = std::move(result.reports[j]);
+      }
+      batch->pending[kept++] = batch->pending[j];
+    }
+    batch->pending.resize(kept);
+    result.parse_errors.clear();
+    if (!result.farm_fault) {
+      result.reports.resize(kept);
     }
 
-    if (batch->apks.empty()) {
-      // Every member failed the parse stage (each already resolved through
-      // on_parse_error). Terminate the batch without consuming a farm run.
+    if (batch->pending.empty()) {
+      // Every member failed to parse (each already resolved through
+      // on_parse_error), so the farm ran nothing and consumed no batch
+      // ordinal. Terminate the batch without touching the farm's health.
       lock.lock();
       in_flight_[farm_index] = 0;
       --outstanding_;
@@ -442,10 +439,6 @@ void FarmPool::RunFarm(size_t farm_index) {
       lock.lock();
       continue;
     }
-
-    const emu::BatchResult result = backends_[farm_index]->ExecuteBatch(
-        batch->apks, batch->snapshot->version, batch->snapshot->checker,
-        batch->snapshot->tracked);
 
     // Per-attempt farm span, recorded BEFORE any completion callback can seal
     // the trace (and before the fault path re-queues the batch). A failed-over
@@ -463,7 +456,7 @@ void FarmPool::RunFarm(size_t farm_index) {
               .count();
       span.queue_depth = depth_at_entry;
       span.fault = result.farm_fault;
-      for (size_t idx : batch->emulated) {
+      for (size_t idx : batch->pending) {
         if (idx < batch->traces.size() && batch->traces[idx].sampled()) {
           collector.Record(batch->traces[idx].trace_id, span);
         }
@@ -481,7 +474,7 @@ void FarmPool::RunFarm(size_t farm_index) {
         rpc_span.start_ms = span.start_ms;
         rpc_span.duration_ms = rpc_ms;
         rpc_span.queue_depth = depth_at_entry;
-        for (size_t idx : batch->emulated) {
+        for (size_t idx : batch->pending) {
           if (idx < batch->traces.size() && batch->traces[idx].sampled()) {
             collector.Record(batch->traces[idx].trace_id, rpc_span);
           }
@@ -504,7 +497,7 @@ void FarmPool::RunFarm(size_t farm_index) {
       --outstanding_;
       const bool drained = closed_ && outstanding_ == 0;
       lock.unlock();
-      batch->on_complete(result, batch->emulated);
+      batch->on_complete(result, batch->pending);
       batch.reset();
       if (drained) {
         cv_.notify_all();
@@ -551,7 +544,7 @@ void FarmPool::RunFarm(size_t farm_index) {
       --outstanding_;
       const bool drained = closed_ && outstanding_ == 0;
       lock.unlock();
-      batch->on_reject(reason, batch->AffectedIndices());
+      batch->on_reject(reason, batch->pending);
       batch.reset();
       if (drained) {
         cv_.notify_all();

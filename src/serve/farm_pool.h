@@ -15,6 +15,11 @@
 // tried yet, up to max_attempts farms; when no healthy farm remains the batch
 // is rejected visibly (PoolRejectReason) — the pool never hangs a submission.
 //
+// Parsing is the backend's: an attempt hands the farm the pending members'
+// blob bytes, the farm parses and emulates each member in one fan-out, and
+// the pool resolves the members that failed to parse and carries only the
+// parsed ones into a retry (which parses them again).
+//
 // Fault injection is built in: FarmPoolConfig carries an emu::FaultPlan that
 // is threaded into every farm (farm_id selects each farm's fault windows and
 // RNG stream), so every failover path above is exercisable deterministically
@@ -34,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "apk/apk.h"
 #include "emu/farm.h"
 #include "fabric/backend.h"
 #include "ingest/apk_blob.h"
@@ -114,12 +118,13 @@ std::vector<std::unique_ptr<fabric::FarmBackend>> MakeLocalFarmBackends(
 
 class FarmPool {
  public:
-  // Batches enter as raw blobs; the first worker that picks a batch up runs
-  // the parse stage (apk::ParseApk per blob, off the scheduler thread) and
-  // caches the result, so a failover retry never re-parses. Per blob index
-  // exactly one of these fires, each on a pool worker thread:
-  //  - on_parse_error(index, error): the blob is not a valid APK (resolved
-  //    fast-fail; it never occupies an emulator);
+  // Batches enter as raw blobs and stay blobs: each farm attempt's backend
+  // parses the pending members (apk::ParseApk, off the scheduler thread) in
+  // the fan-out that emulates them. Per blob index exactly one of these
+  // fires, each on a pool worker thread:
+  //  - on_parse_error(index, error): the blob is not a valid APK. Fires after
+  //    the batch's first attempt, faulted or not; the blob never occupies an
+  //    emulator and no retry carries it;
   //  - on_complete(result, emulated): fault-free emulation, result.reports[j]
   //    belongs to blob index emulated[j] (parse failures are skipped);
   //  - on_reject(reason, affected): no healthy farm / retry budget spent for
@@ -183,11 +188,13 @@ class FarmPool {
 
  private:
   struct PoolBatch {
-    std::vector<ingest::ApkBlob> blobs;  // Released once the parse stage ran.
-    bool parsed = false;
-    std::vector<apk::ApkFile> apks;  // Parse successes, batch order.
-    std::vector<size_t> emulated;    // Original blob index per apks entry.
-    size_t total_items = 0;          // Blobs at submit time.
+    // Held until the batch ends; the scheduler's batch state pins the same
+    // blobs that long anyway.
+    std::vector<ingest::ApkBlob> blobs;
+    // Blob indices still to resolve, in batch order: every index until the
+    // first attempt returns, then the members that parsed. Each attempt
+    // carries these, and they are the indices on_complete and on_reject get.
+    std::vector<size_t> pending;
     std::shared_ptr<const ModelSnapshot> snapshot;
     uint64_t affinity = 0;
     std::vector<char> tried;  // One flag per farm.
@@ -196,10 +203,6 @@ class FarmPool {
     RejectFn on_reject;
     ParseErrorFn on_parse_error;
     std::vector<obs::TraceContext> traces;  // One per blob index (slot leader).
-
-    // Indices a rejection applies to: everything before the parse stage ran,
-    // only the parse survivors after.
-    std::vector<size_t> AffectedIndices() const;
   };
 
   struct FarmHealth {
@@ -220,10 +223,6 @@ class FarmPool {
   // The dispatch task: executes batches off the farm's queue until it is
   // empty, then deactivates. Runs on a runtime worker.
   void RunFarm(size_t farm_index);
-  // Parse stage: runs once per batch on the first dispatch task that dequeues
-  // it, outside mu_. Resolves parse failures via on_parse_error and drops the
-  // blob handles (the pool keeps only the parsed ApkFiles afterwards).
-  static void ParseStage(PoolBatch& batch);
   // All *Locked methods require mu_.
   std::optional<size_t> RouteLocked(const PoolBatch& batch);
   void RecordSuccessLocked(size_t farm_index, const emu::BatchResult& result,

@@ -106,14 +106,21 @@ Result<uint64_t> ByteReader::ReadUleb128() {
   }
 }
 
-Result<std::vector<uint8_t>> ByteReader::ReadBytes(size_t n) {
+Result<std::span<const uint8_t>> ByteReader::ReadSpan(size_t n) {
   if (remaining() < n) {
     return Err("byte reader underrun (bytes)");
   }
-  std::vector<uint8_t> out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-                           data_.begin() + static_cast<ptrdiff_t>(pos_ + n));
+  const std::span<const uint8_t> out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
+}
+
+Result<std::vector<uint8_t>> ByteReader::ReadBytes(size_t n) {
+  auto span = ReadSpan(n);
+  if (!span.ok()) {
+    return Err(span.error());
+  }
+  return std::vector<uint8_t>(span->begin(), span->end());
 }
 
 Result<std::string> ByteReader::ReadString() {

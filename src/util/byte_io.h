@@ -48,6 +48,8 @@ class ByteReader {
   Result<uint32_t> ReadU32();
   Result<uint64_t> ReadU64();
   Result<uint64_t> ReadUleb128();
+  // The next `n` bytes, viewed in place: valid as long as the reader's input.
+  Result<std::span<const uint8_t>> ReadSpan(size_t n);
   Result<std::vector<uint8_t>> ReadBytes(size_t n);
   Result<std::string> ReadString();
 

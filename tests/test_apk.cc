@@ -1,8 +1,13 @@
 // Unit tests for src/apk: the ZIP container codec, manifest and dex codecs,
 // APK assembly/parsing, and tamper detection.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -564,6 +569,45 @@ TEST(Apk, ContentDigestIsStableAndSensitive) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(a.size(), 32u);
+}
+
+// The two-span form digests its parts as if they were concatenated, wherever
+// the split falls.
+TEST(Apk, TwoSpanDigestEqualsDigestOfTheConcatenation) {
+  const std::vector<uint8_t> whole = Bytes("AndroidManifest then classes.dex");
+  const std::string want = ContentDigest(whole);
+  for (size_t split = 0; split <= whole.size(); ++split) {
+    const std::span<const uint8_t> bytes(whole);
+    EXPECT_EQ(ContentDigest(bytes.first(split), bytes.subspan(split)), want) << split;
+  }
+}
+
+// ParseApk reads the archive in place, so nothing it returns may point back
+// into the input: the parsed file must stay whole after its bytes are
+// overwritten and freed (under ASan an escaped view reads freed memory).
+TEST(Apk, ParsedFileOutlivesItsBytes) {
+  Manifest m;
+  m.package_name = "com.outlives";
+  m.permissions = {"android.permission.INTERNET", "android.permission.SEND_SMS"};
+  m.activities = {"com.outlives.Main", "com.outlives.Settings"};
+  m.intent_filters = {"android.intent.action.BOOT_COMPLETED"};
+  const DexFile dex = MakeDex();
+  const std::vector<uint8_t> built = BuildApk(m, dex, /*include_native_lib=*/true);
+
+  auto heap = std::make_unique<uint8_t[]>(built.size());
+  std::copy(built.begin(), built.end(), heap.get());
+  auto apk = ParseApk(std::span<const uint8_t>(heap.get(), built.size()));
+  ASSERT_TRUE(apk.ok()) << apk.error();
+  std::fill(heap.get(), heap.get() + built.size(), uint8_t{0xa5});
+  heap.reset();
+
+  EXPECT_EQ(apk->manifest, m);
+  EXPECT_EQ(apk->dex.strings, dex.strings);
+  for (uint32_t i = 0; i < apk->dex.method_name_idx.size(); ++i) {
+    EXPECT_EQ(apk->dex.MethodName(i), dex.MethodName(i));
+  }
+  EXPECT_TRUE(apk->has_native_lib);
+  EXPECT_EQ(apk->digest, ContentDigest(EncodeManifest(m), EncodeDex(dex)));
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 // analysis engine's gating/cost semantics, and the device farm.
 
 #include <algorithm>
+#include <cstdint>
 #include <future>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -354,17 +358,41 @@ void ExpectSameReport(const EmulationReport& got, const EmulationReport& want) {
 
 // The fan-out is index-addressed: whichever runtime runs it, and whether it
 // is called from outside that runtime or from one of its tasks (as a farm
-// pool's dispatch calls it), report i is engine.Run(apks[i]) bit for bit.
+// pool's dispatch calls it), report i is engine.Run(apks[i]) bit for bit. The
+// bytes entry parses inside that fan-out: fed the same APKs' container bytes
+// with three malformed members at fixed positions, every member that parses
+// gets the same report and exactly the malformed ones get a parse error.
 TEST(Farm, RunBatchMatchesPerAppEngineRuns) {
   synth::CorpusConfig corpus_config;
   corpus_config.seed = 21;
   synth::CorpusGenerator gen(TestUniverse(), corpus_config);
+  std::vector<std::vector<uint8_t>> apk_bytes;
   std::vector<apk::ApkFile> apks;
   for (int i = 0; i < 24; ++i) {
-    auto apk = apk::ParseApk(synth::BuildApkBytes(gen.Next(), TestUniverse()));
+    apk_bytes.push_back(synth::BuildApkBytes(gen.Next(), TestUniverse()));
+    auto apk = apk::ParseApk(apk_bytes.back());
     ASSERT_TRUE(apk.ok());
     apks.push_back(std::move(*apk));
   }
+  const std::vector<uint8_t> garbage = {0xde, 0xad, 0xbe, 0xef};
+  const std::vector<uint8_t> empty;
+  const std::vector<uint8_t> truncated(apk_bytes[5].begin(),
+                                       apk_bytes[5].begin() + apk_bytes[5].size() / 2);
+  const std::vector<std::pair<size_t, const std::vector<uint8_t>*>> malformed = {
+      {0, &garbage}, {13, &truncated}, {26, &empty}};
+  constexpr size_t kMalformed = SIZE_MAX;
+  std::vector<std::span<const uint8_t>> members;
+  std::vector<size_t> app_of;  // Index into apks per member, or kMalformed.
+  for (size_t app = 0, bad = 0; app < apks.size() || bad < malformed.size();) {
+    if (bad < malformed.size() && malformed[bad].first == members.size()) {
+      members.push_back(*malformed[bad++].second);
+      app_of.push_back(kMalformed);
+    } else {
+      members.push_back(apk_bytes[app]);
+      app_of.push_back(app++);
+    }
+  }
+
   FarmConfig config;
   config.num_emulators = 4;
   config.engine.kind = EngineKind::kLightweight;  // Fallbacks, too.
@@ -385,21 +413,41 @@ TEST(Farm, RunBatchMatchesPerAppEngineRuns) {
       ExpectSameReport(result.reports[i], want[i]);
     }
   };
+  auto check_bytes = [&](const BatchResult& result) {
+    ASSERT_FALSE(result.farm_fault);
+    ASSERT_EQ(result.reports.size(), members.size());
+    ASSERT_EQ(result.parse_errors.size(), members.size());
+    for (size_t i = 0; i < members.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "member " << i);
+      EXPECT_EQ(result.parse_errors[i].empty(), app_of[i] != kMalformed);
+      if (app_of[i] != kMalformed) {
+        ExpectSameReport(result.reports[i], want[app_of[i]]);
+      }
+    }
+  };
 
   {
     SCOPED_TRACE("private runtime");
     DeviceFarm farm(TestUniverse(), config);
     check(farm.RunBatch(apks, tracked));
+    check_bytes(farm.RunBatchBytes(members, tracked));
+    EXPECT_EQ(farm.batches_run(), 2u);
   }
   for (size_t workers : {1, 2, 8}) {
     SCOPED_TRACE(testing::Message() << "shared runtime of " << workers);
     rt::Runtime runtime(rt::RuntimeOptions{.workers = workers});
     DeviceFarm farm(TestUniverse(), config, &runtime);
     check(farm.RunBatch(apks, tracked));
+    check_bytes(farm.RunBatchBytes(members, tracked));
     std::promise<BatchResult> from_task;
     std::future<BatchResult> done = from_task.get_future();
     runtime.Post([&] { from_task.set_value(farm.RunBatch(apks, tracked)); });
     check(done.get());
+    std::promise<BatchResult> bytes_from_task;
+    std::future<BatchResult> bytes_done = bytes_from_task.get_future();
+    runtime.Post([&] { bytes_from_task.set_value(farm.RunBatchBytes(members, tracked)); });
+    check_bytes(bytes_done.get());
+    EXPECT_EQ(farm.batches_run(), 4u);  // One ordinal per call.
   }
 }
 

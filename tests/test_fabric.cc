@@ -26,7 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include "apk/apk.h"
 #include "core/model_store.h"
 #include "core/study.h"
 #include "fabric/backend.h"
@@ -81,19 +80,21 @@ std::shared_ptr<const serve::ModelSnapshot> Snapshot() {
   return std::make_shared<const serve::ModelSnapshot>(1, TrainedChecker());
 }
 
-std::vector<apk::ApkFile> MakeApks(uint64_t seed, size_t count = 1) {
+std::vector<std::vector<uint8_t>> MakeApkBytes(uint64_t seed, size_t count = 1) {
   synth::CorpusConfig config;
   config.seed = seed;
   config.update_fraction = 0.0;
   synth::CorpusGenerator generator(TestUniverse(), config);
-  std::vector<apk::ApkFile> apks;
+  std::vector<std::vector<uint8_t>> apks;
   for (size_t i = 0; i < count; ++i) {
-    auto parsed =
-        apk::ParseApk(synth::BuildApkBytes(generator.Next(), TestUniverse()));
-    EXPECT_TRUE(parsed.ok());
-    apks.push_back(std::move(*parsed));
+    apks.push_back(synth::BuildApkBytes(generator.Next(), TestUniverse()));
   }
   return apks;
+}
+
+// The per-member views FarmBackend::ExecuteBatch takes.
+std::vector<std::span<const uint8_t>> Views(const std::vector<std::vector<uint8_t>>& apks) {
+  return {apks.begin(), apks.end()};
 }
 
 // Fresh unix-socket path per call, under the system temp dir (socket paths
@@ -380,20 +381,32 @@ TEST(FabricWorker, RemoteBatchMatchesLocalBitForBit) {
   const std::string socket_path = ScratchSocket();
   auto worker = StartWorker(socket_path);
   auto snapshot = Snapshot();
-  const std::vector<apk::ApkFile> apks = MakeApks(11, 3);
+  // Three corpus APKs with a malformed member between the first two.
+  std::vector<std::vector<uint8_t>> apks = MakeApkBytes(11, 3);
+  apks.insert(apks.begin() + 1, std::vector<uint8_t>{0xde, 0xad, 0xbe, 0xef});
 
   LocalFarmBackend local(TestUniverse(), SmallFarm());
   const emu::BatchResult local_result = local.ExecuteBatch(
-      apks, snapshot->version, snapshot->checker, snapshot->tracked);
+      Views(apks), snapshot->version, snapshot->checker, snapshot->tracked);
   ASSERT_FALSE(local_result.farm_fault);
 
   RemoteFarmClient remote(TestUniverse(), FastClient(socket_path));
   ASSERT_TRUE(WaitConnected(remote));
+  const double worker_apps = CounterValue(obs::names::kFabricWorkerAppsTotal);
   const emu::BatchResult remote_result = remote.ExecuteBatch(
-      apks, snapshot->version, snapshot->checker, snapshot->tracked);
+      Views(apks), snapshot->version, snapshot->checker, snapshot->tracked);
   ASSERT_FALSE(remote_result.farm_fault) << remote_result.fault_reason;
   EXPECT_GT(remote.last_rpc_ms(), 0.0);
   EXPECT_EQ(local.last_rpc_ms(), 0.0);
+  // Only the three members that parsed crossed the wire.
+  EXPECT_EQ(CounterValue(obs::names::kFabricWorkerAppsTotal), worker_apps + 3);
+
+  // Both backends name the malformed member, and only it, alike.
+  ASSERT_EQ(local_result.parse_errors.size(), apks.size());
+  for (size_t i = 0; i < apks.size(); ++i) {
+    EXPECT_EQ(local_result.parse_errors[i].empty(), i != 1) << "member " << i;
+  }
+  EXPECT_EQ(remote_result.parse_errors, local_result.parse_errors);
 
   // The worker re-parsed the APKs from rebuilt container bytes, restored the
   // model from its serialized blob, and ran the same deterministic farm — the
@@ -403,7 +416,7 @@ TEST(FabricWorker, RemoteBatchMatchesLocalBitForBit) {
   // A second batch on the same connection skips the model re-sync.
   const double syncs = CounterValue(obs::names::kFabricModelSyncsTotal);
   const emu::BatchResult again = remote.ExecuteBatch(
-      apks, snapshot->version, snapshot->checker, snapshot->tracked);
+      Views(apks), snapshot->version, snapshot->checker, snapshot->tracked);
   ASSERT_FALSE(again.farm_fault);
   EXPECT_EQ(CounterValue(obs::names::kFabricModelSyncsTotal), syncs);
 
@@ -732,7 +745,7 @@ TEST(FabricSoak, ConnectDisconnectChurnSurvives) {
   const std::string socket_path = ScratchSocket();
   auto worker = StartWorker(socket_path);
   auto snapshot = Snapshot();
-  const std::vector<apk::ApkFile> apks = MakeApks(99, 1);
+  const std::vector<std::vector<uint8_t>> apks = MakeApkBytes(99, 1);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> batches_ok{0};
@@ -745,7 +758,7 @@ TEST(FabricSoak, ConnectDisconnectChurnSurvives) {
         RemoteFarmClient client(TestUniverse(), config);
         if (i % 2 == 0) {
           const emu::BatchResult result = client.ExecuteBatch(
-              apks, snapshot->version, snapshot->checker, snapshot->tracked);
+              Views(apks), snapshot->version, snapshot->checker, snapshot->tracked);
           if (!result.farm_fault) {
             batches_ok.fetch_add(1);
           }
@@ -775,7 +788,7 @@ TEST(FabricSoak, ConnectDisconnectChurnSurvives) {
   RemoteFarmClient client(TestUniverse(), FastClient(socket_path));
   ASSERT_TRUE(WaitConnected(client));
   const emu::BatchResult result = client.ExecuteBatch(
-      apks, snapshot->version, snapshot->checker, snapshot->tracked);
+      Views(apks), snapshot->version, snapshot->checker, snapshot->tracked);
   EXPECT_FALSE(result.farm_fault) << result.fault_reason;
   client.StopMonitor();
 

@@ -3,10 +3,13 @@
 // open/half-open-probe/close transitions, the all-farms-down visible-rejection
 // path (never a hang), and reproducibility of the seeded fault stream.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,7 +19,10 @@
 #include "core/model_store.h"
 #include "core/study.h"
 #include "emu/farm.h"
+#include "fabric/backend.h"
 #include "ingest/apk_blob.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "serve/farm_pool.h"
 #include "serve/service.h"
 #include "serve/serving_model.h"
@@ -69,16 +75,15 @@ std::vector<uint8_t> MakeApkBytes(uint64_t seed) {
   return synth::BuildApkBytes(generator.Next(), TestUniverse());
 }
 
-// A one-blob batch payload for direct pool submissions (the pool's own
-// workers run the parse stage).
+// A one-blob batch payload for direct pool submissions (the farm backend
+// parses it).
 std::vector<ingest::ApkBlob> MakeBatch(uint64_t seed) {
   std::vector<ingest::ApkBlob> blobs;
   blobs.push_back(ingest::ApkBlob::FromBytes(MakeApkBytes(seed)));
   return blobs;
 }
 
-// Parsed payload for driving emu::DeviceFarm directly (below the pool's
-// parse stage).
+// Parsed payload for driving emu::DeviceFarm::RunBatch directly.
 std::vector<apk::ApkFile> MakeApks(uint64_t seed) {
   auto parsed = apk::ParseApk(MakeApkBytes(seed));
   EXPECT_TRUE(parsed.ok());
@@ -285,9 +290,9 @@ TEST(FarmPool, AllFarmsDownRejectsEveryBatchWithoutHanging) {
   EXPECT_EQ(stats.farms[0].batches_completed + stats.farms[1].batches_completed, 0u);
 }
 
-// The pool's parse stage: corrupt members resolve through on_parse_error
-// exactly once, valid members ride on to the farm, and the emulated-index
-// mapping ties reports back to original batch positions.
+// Parse errors: corrupt members resolve through on_parse_error exactly once,
+// valid members ride on to the farm, and the emulated-index mapping ties
+// reports back to original batch positions.
 TEST(FarmPool, ParseErrorsResolvePerIndexAndValidMembersComplete) {
   FarmPool pool(TestUniverse(), FarmPoolConfig{}, SmallFarm());
   std::vector<ingest::ApkBlob> blobs;
@@ -321,10 +326,14 @@ TEST(FarmPool, ParseErrorsResolvePerIndexAndValidMembersComplete) {
   EXPECT_EQ(reports, 2u);
 }
 
-// A batch whose every member fails the parse stage completes with an empty
+// A batch whose every member fails to parse completes with an empty
 // result and never consumes a farm run (fault-plan batch ordinals stay put).
 TEST(FarmPool, AllParseFailuresCompleteWithoutConsumingAFarmRun) {
-  FarmPool pool(TestUniverse(), FarmPoolConfig{}, SmallFarm());
+  auto backend = std::make_unique<fabric::LocalFarmBackend>(TestUniverse(), SmallFarm());
+  fabric::LocalFarmBackend* local = backend.get();
+  std::vector<std::unique_ptr<fabric::FarmBackend>> backends;
+  backends.push_back(std::move(backend));
+  FarmPool pool(FarmPoolConfig{}, std::move(backends));
   std::vector<ingest::ApkBlob> blobs;
   blobs.push_back(ingest::ApkBlob::FromBytes({1, 2, 3}));
   blobs.push_back(ingest::ApkBlob::FromBytes(std::vector<uint8_t>(64, 0)));
@@ -352,11 +361,13 @@ TEST(FarmPool, AllParseFailuresCompleteWithoutConsumingAFarmRun) {
   }
   EXPECT_EQ(farm_batches, 0u);  // No RunBatch: ordinals undisturbed.
   EXPECT_EQ(stats.rejected_batches, 0u);
+  EXPECT_EQ(local->farm().batches_run(), 0u);
 }
 
-// Parse runs once per batch even when the farm run behind it faults and fails
-// over: the corrupt member's error fires exactly once, and the valid member
-// still completes on the healthy farm.
+// A corrupt member's parse error fires exactly once even when the farm run
+// behind it faults and fails over (the retry carries, and parses again, only
+// the member that parsed), and the valid member still completes on the
+// healthy farm.
 TEST(FarmPool, ParseStageSurvivesFailoverWithoutDoubleResolution) {
   FarmPoolConfig config;
   config.num_farms = 2;
@@ -398,6 +409,41 @@ TEST(FarmPool, ParseStageSurvivesFailoverWithoutDoubleResolution) {
   const FarmPoolStats stats = pool.stats();
   EXPECT_GT(stats.faults, 0u);  // The dead farm was actually exercised.
   EXPECT_EQ(stats.farms[0].batches_completed, 0u);
+}
+
+// With every farm dead, a mixed batch still resolves its malformed member as
+// a parse error, once, and rejects only the member that parsed.
+TEST(FarmPool, ParseErrorsStayParseErrorsWhenEveryFarmIsDown) {
+  FarmPoolConfig config;
+  config.num_farms = 2;
+  config.max_attempts = 3;
+  config.fault_plan.windows = {DeadForever(0), DeadForever(1)};
+  FarmPool pool(TestUniverse(), config, SmallFarm());
+  std::vector<ingest::ApkBlob> blobs;
+  blobs.push_back(ingest::ApkBlob::FromBytes({0xbd, 0x01}));
+  blobs.push_back(ingest::ApkBlob::FromBytes(MakeApkBytes(41)));
+
+  std::promise<std::vector<size_t>> rejected;
+  std::atomic<size_t> parse_errors{0};
+  ASSERT_TRUE(pool.Submit(
+      std::move(blobs), Snapshot(), 0,
+      [&](const emu::BatchResult&, const std::vector<size_t>&) {
+        ADD_FAILURE() << "completed on a dead pool";
+      },
+      [&](PoolRejectReason, const std::vector<size_t>& affected) {
+        rejected.set_value(affected);
+      },
+      [&](size_t index, const std::string&) {
+        EXPECT_EQ(index, 0u);
+        ++parse_errors;
+      }));
+  std::future<std::vector<size_t>> affected = rejected.get_future();
+  ASSERT_EQ(affected.wait_for(milliseconds(10'000)), std::future_status::ready);
+  EXPECT_EQ(affected.get(), (std::vector<size_t>{1}));
+  pool.Close();
+
+  EXPECT_EQ(parse_errors.load(), 1u);
+  EXPECT_EQ(pool.stats().faults, 2u);  // Each farm was tried once.
 }
 
 TEST(FarmPool, SubmitAfterCloseReturnsFalseWithoutCallbacks) {
@@ -467,6 +513,63 @@ TEST(DeviceFarmFaults, ScriptedWindowOnlyHitsItsOwnFarmAndRange) {
     EXPECT_FALSE(other.RunBatch(apks, snapshot->tracked).farm_fault);
   }
   EXPECT_EQ(farm.batches_run(), expected.size());
+}
+
+// The bytes entry asks the fault plan only once a member parses: a batch in
+// which nothing parses takes no ordinal and no Bernoulli draw, so a farm fed
+// all-malformed batches between valid ones faults exactly where a farm fed
+// only the valid ones does. A faulted batch still names its parse errors and
+// emulates nothing.
+TEST(DeviceFarmFaults, BatchWithoutAParsedMemberDrawsNoFault) {
+  emu::FarmConfig config = SmallFarm();
+  config.farm_id = 1;
+  config.fault_plan.seed = 42;
+  config.fault_plan.fault_rate = 0.5;
+  emu::DeviceFarm reference(TestUniverse(), config);
+  emu::DeviceFarm interleaved(TestUniverse(), config);
+  auto snapshot = Snapshot();
+  const std::vector<uint8_t> valid = MakeApkBytes(7);
+  const std::vector<uint8_t> garbage = {0xde, 0xad};
+  const std::vector<uint8_t> zeros(64, 0);
+  const std::vector<std::span<const uint8_t>> valid_batch = {valid};
+  const std::vector<std::span<const uint8_t>> malformed_batch = {garbage, zeros};
+
+  std::vector<bool> want;
+  std::vector<bool> got;
+  for (int i = 0; i < 24; ++i) {
+    want.push_back(reference.RunBatchBytes(valid_batch, snapshot->tracked).farm_fault);
+    const emu::BatchResult skipped =
+        interleaved.RunBatchBytes(malformed_batch, snapshot->tracked);
+    EXPECT_FALSE(skipped.farm_fault);
+    ASSERT_EQ(skipped.parse_errors.size(), 2u);
+    EXPECT_FALSE(skipped.parse_errors[0].empty());
+    EXPECT_FALSE(skipped.parse_errors[1].empty());
+    got.push_back(interleaved.RunBatchBytes(valid_batch, snapshot->tracked).farm_fault);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(interleaved.batches_run(), 24u);  // The valid batches only.
+  const size_t faults = std::count(want.begin(), want.end(), true);
+  EXPECT_GT(faults, 0u);
+  EXPECT_LT(faults, 24u);
+
+  emu::FarmConfig scripted = SmallFarm();
+  scripted.farm_id = 3;
+  scripted.fault_plan.windows = {DeadForever(3)};
+  emu::DeviceFarm dead(TestUniverse(), scripted);
+  const std::vector<uint8_t> other_valid = MakeApkBytes(8);
+  const std::vector<std::span<const uint8_t>> mixed = {garbage, valid, zeros, other_valid};
+  obs::Counter& apps = obs::MetricsRegistry::Default().counter(obs::names::kEmuAppsTotal);
+  const uint64_t apps_before = apps.value();
+  const emu::BatchResult result = dead.RunBatchBytes(mixed, snapshot->tracked);
+  EXPECT_TRUE(result.farm_fault);
+  EXPECT_FALSE(result.fault_reason.empty());
+  ASSERT_EQ(result.parse_errors.size(), mixed.size());
+  EXPECT_FALSE(result.parse_errors[0].empty());
+  EXPECT_TRUE(result.parse_errors[1].empty());
+  EXPECT_FALSE(result.parse_errors[2].empty());
+  EXPECT_TRUE(result.parse_errors[3].empty());
+  EXPECT_EQ(apps.value(), apps_before);  // Nothing was emulated.
+  EXPECT_EQ(dead.batches_run(), 1u);
 }
 
 // End-to-end: a service whose pool has one dead farm still resolves every

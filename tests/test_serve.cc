@@ -560,7 +560,7 @@ TEST(VettingService, BlobFlowsThroughThePipelineWithoutCopiesOrRehashing) {
   EXPECT_EQ(accepted->get().status, VetStatus::kOk);
   service.Shutdown();
 
-  // The whole trip — admission, shard queue, batch build, pool parse stage,
+  // The whole trip — admission, shard queue, batch build, the farm's parse,
   // emulation, verdict — minted no new blob and ran no second hash.
   EXPECT_EQ(CounterValue(obs::names::kIngestBlobsTotal), blobs_before + 1);
   EXPECT_EQ(CounterValue(obs::names::kServeHashOpsTotal), hashes_before + 1);

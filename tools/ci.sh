@@ -218,6 +218,26 @@ grep -q '"apichecker_serve_farm_retries_total": [1-9]' "$SERVE_TMP/metrics-fault
   echo "farm faults were not retried"; exit 1; }
 grep -q '"apichecker_emu_farm_injected_faults_total": [1-9]' "$SERVE_TMP/metrics-faulted.json" || {
   echo "missing emu-level injected-fault accounting"; exit 1; }
+# The farms time exactly the batches they execute (a faulted batch records no
+# timing), and in a local-only pool the farms' injected faults are the only
+# source of pool faults.
+python3 - "$SERVE_TMP/metrics-faulted.json" <<'PYEOF'
+import json, sys
+path = sys.argv[1]
+metrics = json.load(open(path))
+counters, histograms = metrics["counters"], metrics["histograms"]
+timed = int(histograms["apichecker_emu_farm_batch_ms"]["count"])
+executed = int(counters.get("apichecker_emu_farm_batches_total", 0))
+if timed != executed:
+    raise SystemExit("%s: %d farm batches timed, %d executed" % (path, timed, executed))
+injected = int(counters.get("apichecker_emu_farm_injected_faults_total", 0))
+pool_faults = int(counters.get("apichecker_serve_farm_faults_total", 0))
+if injected != pool_faults:
+    raise SystemExit("%s: %d faults injected, %d seen by the pool"
+                     % (path, injected, pool_faults))
+print("fault accounting: %d == %d batches timed, %d == %d faults injected vs pool"
+      % (timed, executed, injected, pool_faults))
+PYEOF
 check_names "$SERVE_TMP/metrics-faulted.json"
 check_ledger "$SERVE_TMP/metrics-faulted.json"
 echo "fault smoke OK (faults injected, failover retries observed, zero lost)"
